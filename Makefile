@@ -67,14 +67,17 @@ trace: build
 	@echo "wrote fbbopt-trace.jsonl, fbbopt-profile.csv and"
 	@echo "fbbopt-trace.chrome.json (load the latter in ui.perfetto.dev)"
 
-# Live telemetry demo: serve a cascade workload with the sampler and
-# /metrics endpoint up, scrape it, and render one dashboard frame.
+# Live telemetry demo: run fbbd with its /metrics endpoint up, drive a
+# short load run through it, then scrape the endpoint and render one
+# dashboard frame.
 top-demo: build
-	$(DUNE) exec bin/fbbopt.exe -- serve-metrics -d c5315 --port 9619 \
-	  --deadline-ms 100 --duration-s 8 --jobs 2 & \
+	$(DUNE) exec bin/fbbd.exe -- serve --port 9620 --metrics-port 9621 \
+	  --duration-s 12 --jobs 2 & \
 	sleep 3; \
-	$(DUNE) exec bin/fbbopt.exe -- scrape http://127.0.0.1:9619; \
-	$(DUNE) exec bin/fbbopt.exe -- top --once --url http://127.0.0.1:9619; \
+	$(DUNE) exec bin/fbbd.exe -- load --port 9620 -c 4 -n 24 \
+	  --gen 11,400,6 --work 50000; \
+	$(DUNE) exec bin/fbbopt.exe -- scrape http://127.0.0.1:9621; \
+	$(DUNE) exec bin/fbbopt.exe -- top --once --url http://127.0.0.1:9621; \
 	wait
 
 # fbbd demo: run the daemon with live metrics, send a ping, a solve and

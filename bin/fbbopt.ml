@@ -9,8 +9,6 @@
      recover       - active leakage recovery with reverse body bias
      trace         - offline converters for recorded JSONL traces
      bench-compare - diff two bench.json records, gate on regressions
-     serve-metrics - live /metrics + /snapshot.json endpoint, optionally
-                     driving a cascade workload (the fbbd seed)
      top           - live TTY dashboard over a telemetry endpoint
      scrape        - fetch + validate a telemetry endpoint (CI smoke) *)
 
@@ -745,103 +743,6 @@ let bench_compare_cmd =
           missing/unreadable data")
     Term.(const run $ old_arg $ new_arg $ max_regress_arg)
 
-(* ----- serve-metrics ---------------------------------------------------- *)
-
-(* The fbbd seed: stand up the telemetry plane and (optionally) keep a
-   deadline-bounded cascade workload running under it, one traced
-   request per solve, until the duration elapses or SIGINT. *)
-
-let port_arg =
-  let doc = "TCP port to listen on (0 = ephemeral)." in
-  Arg.(value & opt int 9619 & info [ "p"; "port" ] ~docv:"PORT" ~doc)
-
-let duration_arg =
-  let doc = "Stop after $(docv) seconds (0 = run until interrupted)." in
-  Arg.(value & opt float 0.0 & info [ "duration-s" ] ~docv:"S" ~doc)
-
-let serve_deadline_arg =
-  let doc = "Per-request cascade deadline in milliseconds." in
-  Arg.(value & opt float 200.0 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-
-let serve_metrics design file rows beta_pct clusters ~deadline_ms ~duration_s
-    ~port ~tick_ms =
-  (* Spans only record histograms while a sink is installed; the null
-     sink turns instrumentation on without writing anything. *)
-  Fbb_obs.Sink.install Fbb_obs.Sink.null;
-  let sampler = Fbb_obs.Telemetry.start ~tick_s:(tick_ms /. 1000.0) () in
-  let* srv =
-    match Fbb_obs.Telemetry.serve ~port () with
-    | Ok srv -> Ok srv
-    | Error msg ->
-      Fbb_obs.Telemetry.stop sampler;
-      Fbb_obs.Sink.clear ();
-      Error msg
-  in
-  Printf.printf "serving http://127.0.0.1:%d/metrics (tick %.0f ms)\n%!"
-    (Fbb_obs.Telemetry.port srv) tick_ms;
-  let deadline = Float.max 0.0 deadline_ms /. 1000.0 in
-  let stop_at =
-    if duration_s > 0.0 then Some (Fbb_obs.Clock.now_s () +. duration_s)
-    else None
-  in
-  let keep_going () =
-    match stop_at with
-    | Some t -> Fbb_obs.Clock.now_s () < t
-    | None -> true
-  in
-  let result =
-    match (design, file) with
-    | None, None ->
-      (* No workload: serve whatever the registries already hold. *)
-      while keep_going () do
-        Unix.sleepf 0.2
-      done;
-      Ok ()
-    | _ ->
-      let* pl = load_placement ~design ~file ~rows in
-      report_placement pl;
-      let p = Fbb_core.Problem.build ~beta:(beta_pct /. 100.0) pl in
-      Printf.printf
-        "workload: cascade (C=%d) every request, deadline %.0f ms\n%!" clusters
-        deadline_ms;
-      let requests = Fbb_obs.Counter.make "serve.requests" in
-      while keep_going () do
-        Fbb_obs.Counter.incr requests;
-        Fbb_obs.Context.with_ (Fbb_obs.Context.make ()) (fun () ->
-            Fbb_obs.Span.with_ ~name:"serve.request" (fun () ->
-                ignore
-                  (Fbb_core.Cascade.solve ~max_clusters:clusters
-                     ~budget:(Fbb_util.Budget.create ~deadline_s:deadline ())
-                     p)))
-      done;
-      Ok ()
-  in
-  Fbb_obs.Telemetry.shutdown srv;
-  Fbb_obs.Telemetry.stop sampler;
-  Fbb_par.Pool.publish_utilization ();
-  Fbb_obs.Sink.clear ();
-  result
-
-let serve_metrics_cmd =
-  let run d f r b c deadline_ms duration_s port tick_ms jobs =
-    set_jobs jobs;
-    match serve_metrics d f r b c ~deadline_ms ~duration_s ~port ~tick_ms with
-    | Ok () -> `Ok ()
-    | Error m -> `Error (false, m)
-    | exception Sys_error m -> `Error (false, m)
-  in
-  Cmd.v
-    (Cmd.info "serve-metrics"
-       ~doc:
-         "Serve live telemetry (GET /metrics Prometheus text, GET \
-          /snapshot.json), optionally driving a deadline-bounded cascade \
-          workload — the seed of the fbbd service")
-    Term.(
-      ret
-        (const run $ design_arg $ bench_file_arg $ rows_arg $ beta_arg
-        $ clusters_arg $ serve_deadline_arg $ duration_arg $ port_arg
-        $ telemetry_tick_arg $ jobs_arg))
-
 (* ----- top -------------------------------------------------------------- *)
 
 let url_arg =
@@ -1070,7 +971,6 @@ let () =
             recover_cmd;
             trace_cmd;
             bench_compare_cmd;
-            serve_metrics_cmd;
             top_cmd;
             scrape_cmd;
           ]))

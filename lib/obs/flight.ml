@@ -8,9 +8,11 @@
    Capture path: the server brackets each request with [begin_request]
    / [finish]. In between, a recorder {!Sink.t} (composed into the
    daemon's sink with [Sink.tee]) appends every span event whose trace
-   id has a pending entry — span events already carry (trace, dom,
-   depth), which is exactly enough to rebuild one coherent tree from
-   the interleaved multi-domain stream at [finish] time. Events for
+   id has a pending entry, as the raw {!Event.t}. At [finish] time
+   {!Span_tree} rebuilds the per-domain trees from that interleaved
+   stream; the record keeps every node it yields (an orphan end as a
+   flat span, a never-closed span at zero duration), so a truncated
+   capture still shows where time was being spent. Events for
    traces nobody registered (and all non-span events) are dropped at
    the door, so a busy sink costs untraced work one hashtable miss.
 
@@ -31,11 +33,12 @@
    recorder cannot perturb payloads: the determinism suite replays
    with the recorder installed and demands bit-identical responses. *)
 
-type span = {
+type span = Span_tree.node = {
   sp_name : string;
   sp_dom : int;
   sp_start_s : float;  (* monotonic, same clock as every event ts *)
   sp_dur_s : float;
+  sp_status : Span_tree.status;
   sp_children : span list;
 }
 
@@ -62,7 +65,7 @@ type record = {
   latency_s : float;
   stages : stage list;
   counters : (string * int) list;  (* counter deltas across the solve *)
-  spans : span list;  (* root spans, in begin order *)
+  spans : span list;  (* root spans, ordered by start time *)
   ts_unix : float;
 }
 
@@ -80,15 +83,11 @@ let outcome_detail = function
 
 (* ----- recorder state --------------------------------------------------- *)
 
-type ev =
-  | Begin of { name : string; ts : float; dom : int }
-  | End of { name : string; ts : float; dur_s : float; dom : int }
-
 type t = {
   lock : Mutex.t;
   mutable capacity : int;
   mutable keep_slowest : int;
-  pending : (string, ev list ref) Hashtbl.t;  (* events newest-first *)
+  pending : (string, Event.t list ref) Hashtbl.t;  (* events newest-first *)
   records : (string, record) Hashtbl.t;
   mutable order : string list;  (* insertion order, oldest first *)
   mutable count : int;
@@ -151,99 +150,15 @@ let begin_request ~trace =
 let sink () =
   let emit ev =
     match ev with
-    | Event.Span_begin { name; ts; depth = _; dom; trace } when trace <> "" -> (
-      Mutex.protect recorder.lock @@ fun () ->
-      match Hashtbl.find_opt recorder.pending trace with
-      | Some evs -> evs := Begin { name; ts; dom } :: !evs
-      | None -> ())
-    | Event.Span_end { name; ts; dur_s; depth = _; dom; trace }
+    | (Event.Span_begin { trace; _ } | Event.Span_end { trace; _ })
       when trace <> "" -> (
       Mutex.protect recorder.lock @@ fun () ->
       match Hashtbl.find_opt recorder.pending trace with
-      | Some evs -> evs := End { name; ts; dur_s; dom } :: !evs
+      | Some evs -> evs := ev :: !evs
       | None -> ())
     | _ -> ()
   in
   { Sink.emit; flush = (fun () -> ()) }
-
-(* Rebuild span trees from the interleaved event list: one stack per
-   domain (begins push, ends pop and attach to the new stack top or to
-   the root list). Unbalanced tails — a begin whose end never fired
-   because the recorder stopped listening first — are closed with zero
-   duration rather than dropped, so a truncated capture still shows
-   where time was being spent. *)
-let build_tree events =
-  let stacks : (int, (string * float * span list ref) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let roots = ref [] in
-  let stack_of dom =
-    match Hashtbl.find_opt stacks dom with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks dom s;
-      s
-  in
-  let attach dom sp =
-    match !(stack_of dom) with
-    | (_, _, children) :: _ -> children := sp :: !children
-    | [] -> roots := sp :: !roots
-  in
-  List.iter
-    (function
-      | Begin { name; ts; dom } ->
-        let st = stack_of dom in
-        st := (name, ts, ref []) :: !st
-      | End { name; ts; dur_s; dom } -> (
-        let st = stack_of dom in
-        match !st with
-        | (n, start, children) :: tl when n = name ->
-          st := tl;
-          attach dom
-            {
-              sp_name = n;
-              sp_dom = dom;
-              sp_start_s = start;
-              sp_dur_s = dur_s;
-              sp_children = List.rev !children;
-            }
-        | _ ->
-          (* End without a matching begin (capture started mid-span):
-             record it as a flat zero-start span so it is not lost. *)
-          attach dom
-            {
-              sp_name = name;
-              sp_dom = dom;
-              sp_start_s = ts -. dur_s;
-              sp_dur_s = dur_s;
-              sp_children = [];
-            }))
-    events;
-  (* Close any still-open spans, innermost first: each becomes a child
-     of the next outer entry; the outermost lands in the roots. *)
-  Hashtbl.iter
-    (fun dom st ->
-      let rec close = function
-        | [] -> ()
-        | (n, start, children) :: tl ->
-          let sp =
-            {
-              sp_name = n;
-              sp_dom = dom;
-              sp_start_s = start;
-              sp_dur_s = 0.0;
-              sp_children = List.rev !children;
-            }
-          in
-          (match tl with
-          | (_, _, pchildren) :: _ -> pchildren := sp :: !pchildren
-          | [] -> roots := sp :: !roots);
-          close tl
-      in
-      close !st)
-    stacks;
-  List.rev !roots
 
 (* Pick the eviction victim: oldest record that is neither in the
    slowest-K set nor protected by outcome/exhaustion; falling back to
@@ -329,7 +244,7 @@ let finish ~trace ~req_id ~outcome ~exhausted ~queue_wait_s ~latency_s ~stages
         latency_s;
         stages;
         counters;
-        spans = build_tree events;
+        spans = (Span_tree.build events).roots;
         ts_unix = Clock.now_unix ();
       }
     in
@@ -400,8 +315,9 @@ let summary_json (rec_ : record) =
     ]
 
 let to_json (rec_ : record) =
-  (* Span timestamps are monotonic; report them relative to the first
-     root so a reader sees offsets into the request, not clock values. *)
+  (* Span timestamps are monotonic; report them relative to the
+     earliest root (roots are ordered by start) so a reader sees
+     non-negative offsets into the request, not clock values. *)
   let t0 =
     match rec_.spans with sp :: _ -> sp.sp_start_s | [] -> 0.0
   in

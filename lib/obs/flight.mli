@@ -22,13 +22,17 @@
     The recorder never touches solver state: recording is observation
     only, and the determinism suite replays with it installed. *)
 
-type span = {
+type span = Span_tree.node = {
   sp_name : string;
   sp_dom : int;  (** domain the span ran on *)
   sp_start_s : float;  (** monotonic begin timestamp *)
-  sp_dur_s : float;
+  sp_dur_s : float;  (** 0 for a span still open at {!finish} *)
+  sp_status : Span_tree.status;
   sp_children : span list;
 }
+(** One node of the request's span tree, as built by {!Span_tree}:
+    orphan ends are kept as flat spans, never-closed spans close at
+    zero duration. *)
 
 type stage = {
   st_stage : string;
@@ -53,7 +57,7 @@ type record = {
   latency_s : float;
   stages : stage list;
   counters : (string * int) list;  (** counter deltas across the solve *)
-  spans : span list;
+  spans : span list;  (** root spans, ordered by start time *)
   ts_unix : float;
 }
 
@@ -99,7 +103,7 @@ val outcome_detail : outcome -> string
 val to_json : record -> Fbb_util.Json.t
 (** Full record: schema ["fbb-flight-record-1"], stages, counter
     deltas, span tree with per-span start offsets relative to the
-    first root. *)
+    earliest root. *)
 
 val summary_json : record -> Fbb_util.Json.t
 val index_json : unit -> Fbb_util.Json.t

@@ -14,10 +14,12 @@
    * a statistics report - the trace replayed through an {!Aggregate},
      plus stream-level facts (event counts, span balance).
 
-   Parsing is tolerant where recording may have been cut short: [stats]
-   reports unbalanced spans instead of failing, and the flamegraph
-   drops frames that never closed. Malformed JSON is a hard error -
-   the Jsonl sink never writes it, so it means the wrong file. *)
+   Both span-nesting views read the one {!Span_tree} replay. Parsing is
+   tolerant where recording may have been cut short: [stats] reports
+   the tree's orphan ends and never-closed spans instead of failing,
+   and the flamegraph drops those frames. Malformed JSON is a hard
+   error - the Jsonl sink never writes it, so it means the wrong
+   file. *)
 
 module Json = Fbb_util.Json
 
@@ -206,58 +208,35 @@ let to_chrome events =
 (* ----- folded flamegraph stacks ---------------------------------------- *)
 
 let to_folded events =
-  let doms =
-    List.sort_uniq compare
-      (List.filter_map
-         (function
-           | Event.Span_begin { dom; _ } | Event.Span_end { dom; _ } -> Some dom
-           | _ -> None)
-         events)
-  in
-  let multi_dom = List.length doms > 1 in
-  (* Per-domain stack of (name, children's total seconds so far). *)
-  let stacks : (int, (string * float ref) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let stack dom =
-    match Hashtbl.find_opt stacks dom with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks dom s;
-      s
+  let roots = (Span_tree.build events).roots in
+  (* A node's children share its domain, so the roots name every
+     domain in the trace. *)
+  let multi_dom =
+    match roots with
+    | r :: rest -> List.exists (fun n -> n.Span_tree.sp_dom <> r.sp_dom) rest
+    | [] -> false
   in
   let folded : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Event.Span_begin { name; dom; _ } ->
-        let s = stack dom in
-        s := (name, ref 0.0) :: !s
-      | Event.Span_end { name; dur_s; dom; _ } -> begin
-        let s = stack dom in
-        match !s with
-        | (top, children) :: rest when top = name ->
-          s := rest;
-          let self = Float.max 0.0 (dur_s -. !children) in
-          (match rest with
-          | (_, parent_children) :: _ ->
-            parent_children := !parent_children +. dur_s
-          | [] -> ());
-          let frames = List.rev_map fst !s @ [ name ] in
-          let frames =
-            if multi_dom then Printf.sprintf "d%d" dom :: frames else frames
-          in
-          let key = String.concat ";" frames in
-          Hashtbl.replace folded key
-            (self +. Option.value (Hashtbl.find_opt folded key) ~default:0.0)
-        | _ ->
-          (* End with no matching begin: truncated head; skip. *)
-          ()
+  (* Post-order, so each key accumulates in its domain's end order.
+     Orphan ends are dropped; a never-closed span contributes no frame
+     of its own but stays on the path of its closed descendants. *)
+  let rec walk path (n : Span_tree.node) =
+    match n.sp_status with
+    | Orphan_end -> ()
+    | Closed | Never_closed ->
+      let path = n.sp_name :: path in
+      List.iter (walk path) n.sp_children;
+      if n.sp_status = Closed then begin
+        let key = String.concat ";" (List.rev path) in
+        Hashtbl.replace folded key
+          (Span_tree.self_s n
+          +. Option.value (Hashtbl.find_opt folded key) ~default:0.0)
       end
-      | Event.Counter_add _ | Event.Gauge_set _ | Event.Hist_record _
-      | Event.Gc_sample _ -> ())
-    events;
+  in
+  List.iter
+    (fun (r : Span_tree.node) ->
+      walk (if multi_dom then [ Printf.sprintf "d%d" r.sp_dom ] else []) r)
+    roots;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) folded []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -283,47 +262,25 @@ let stats events =
   and gauges = ref 0
   and hists = ref 0
   and gcs = ref 0 in
-  (* Per-domain balance: every begin must have a later end at the same
-     depth with the same name. Replay the per-domain stacks. *)
-  let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 4 in
-  let unbalanced = ref 0 in
   List.iter
-    (fun ev ->
-      match ev with
-      | Event.Span_begin { name; dom; _ } ->
-        incr begins;
-        let s =
-          match Hashtbl.find_opt stacks dom with
-          | Some s -> s
-          | None ->
-            let s = ref [] in
-            Hashtbl.add stacks dom s;
-            s
-        in
-        s := name :: !s
-      | Event.Span_end { name; dom; _ } -> begin
-        incr ends;
-        match Hashtbl.find_opt stacks dom with
-        | Some ({ contents = top :: rest } as s) when top = name -> s := rest
-        | _ -> incr unbalanced
-      end
+    (function
+      | Event.Span_begin _ -> incr begins
+      | Event.Span_end _ -> incr ends
       | Event.Counter_add _ -> incr counters
       | Event.Gauge_set _ -> incr gauges
       | Event.Hist_record _ -> incr hists
       | Event.Gc_sample _ -> incr gcs)
     events;
-  let open_spans =
-    Hashtbl.fold (fun _ s acc -> acc + List.length !s) stacks 0
-  in
+  let { Span_tree.orphan_ends; never_closed; _ } = Span_tree.build events in
   let buf = Buffer.create 1024 in
   Printf.bprintf buf
     "events: %d (%d span begin, %d span end, %d counter, %d gauge, %d \
      histogram, %d gc)\n"
     (List.length events) !begins !ends !counters !gauges !hists !gcs;
-  if !unbalanced > 0 || open_spans > 0 then
+  if orphan_ends > 0 || never_closed > 0 then
     Printf.bprintf buf
       "WARNING: unbalanced spans: %d mismatched end(s), %d never closed\n"
-      !unbalanced open_spans
+      orphan_ends never_closed
   else Printf.bprintf buf "span stream balanced\n";
   Buffer.add_string buf (Aggregate.report agg);
   Buffer.contents buf

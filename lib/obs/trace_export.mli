@@ -32,9 +32,11 @@ val to_chrome : Event.t list -> Fbb_util.Json.t
 val to_folded : Event.t list -> (string * float) list
 (** Folded stacks with self-time in seconds: [("a;b;c", self_s)],
     sorted by stack. Self time is the span's duration minus its direct
-    children's durations, accumulated per distinct stack; stacks are
-    tracked per domain and prefixed with ["d<dom>"] when the trace
-    involves more than one. Spans that never closed are dropped. *)
+    children's durations ({!Span_tree.self_s}), accumulated per
+    distinct stack; stacks are tracked per domain and prefixed with
+    ["d<dom>"] when the trace involves more than one. Orphan ends and
+    spans that never closed are dropped, but closed spans under a
+    never-closed parent keep it on their stack. *)
 
 val folded_to_string : (string * float) list -> string
 (** Render folded stacks as "stack <self microseconds>" lines (integer
@@ -43,4 +45,4 @@ val folded_to_string : (string * float) list -> string
 val stats : Event.t list -> string
 (** Replay the events through an {!Aggregate} and render its report,
     prefixed with stream-level facts: per-phase event counts and span
-    balance (mismatched ends, spans never closed). *)
+    balance ({!Span_tree}'s mismatched ends and spans never closed). *)

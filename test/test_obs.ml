@@ -961,6 +961,39 @@ let test_flight_record_roundtrip () =
     (Fbb_util.Json.member_str "schema" idx);
   Obs.Flight.clear ()
 
+let test_flight_offsets_from_earliest_root () =
+  (* A worker-domain span completes before the request's root span
+     does; the root still comes first and anchors the offsets at 0. *)
+  Obs.Flight.clear ();
+  let trace = "req:two-dom" in
+  let b name dom ts =
+    Obs.Event.Span_begin { name; ts; depth = 0; dom; trace }
+  and e name dom ts dur_s =
+    Obs.Event.Span_end { name; ts; dur_s; depth = 0; dom; trace }
+  in
+  Obs.Flight.begin_request ~trace;
+  List.iter (Obs.Flight.sink ()).Obs.Sink.emit
+    [
+      b "serve.request" 0 10.0;
+      b "bb.lp_bound" 1 10.1;
+      e "bb.lp_bound" 1 10.2 0.1;
+      e "serve.request" 0 10.5 0.5;
+    ];
+  flight_finish trace;
+  (match Obs.Flight.record_json trace with
+  | None -> Alcotest.fail "record not stored"
+  | Some j ->
+    let roots =
+      Option.value (Fbb_util.Json.member_arr "spans" j) ~default:[]
+    in
+    Alcotest.(check (list (option string))) "roots ordered by start"
+      [ Some "serve.request"; Some "bb.lp_bound" ]
+      (List.map (Fbb_util.Json.member_str "name") roots);
+    Alcotest.(check (list (option (float 1e-9))))
+      "offsets from the earliest root" [ Some 0.0; Some 0.1 ]
+      (List.map (Fbb_util.Json.member_num "start_s") roots));
+  Obs.Flight.clear ()
+
 let test_flight_eviction_retention () =
   (* Under churn past the capacity, the slowest-K, every non-Solved and
      every exhausted record must survive; fillers go FIFO. *)
@@ -1262,6 +1295,8 @@ let suite =
     ("promtext exemplar validation", `Quick,
      test_promtext_exemplar_validation);
     ("flight record round-trip", `Quick, test_flight_record_roundtrip);
+    ("flight offsets from earliest root", `Quick,
+     test_flight_offsets_from_earliest_root);
     ("flight eviction retention", `Quick, test_flight_eviction_retention);
     ("flight bounded when all protected", `Quick,
      test_flight_protection_yields_at_cap);

@@ -200,6 +200,92 @@ let test_folded_drops_unclosed () =
   Alcotest.(check bool) "only the closed span appears" true
     (Obs.Trace_export.to_folded truncated = [ ("outer;child", 0.4) ])
 
+let sb ?(trace = "") name dom ts =
+  Obs.Event.Span_begin { name; ts; depth = 0; dom; trace }
+
+let se ?(trace = "") name dom ts dur_s =
+  Obs.Event.Span_end { name; ts; dur_s; depth = 0; dom; trace }
+
+let test_span_tree_self_time () =
+  (* p [0,1] holds a closed child c (0.2 s) and an orphan end x
+     (0.1 s): only the closed child counts against p's self time. *)
+  let tree =
+    Obs.Span_tree.build
+      [
+        sb "p" 0 0.0;
+        sb "c" 0 0.1;
+        se "c" 0 0.3 0.2;
+        se "x" 0 0.5 0.1;
+        se "p" 0 1.0 1.0;
+      ]
+  in
+  match tree.Obs.Span_tree.roots with
+  | [ p ] ->
+    Alcotest.(check (list string)) "children in attach order" [ "c"; "x" ]
+      (List.map (fun n -> n.Obs.Span_tree.sp_name) p.sp_children);
+    Alcotest.(check (float 1e-9)) "self excludes closed children only" 0.8
+      (Obs.Span_tree.self_s p);
+    Alcotest.(check (float 0.0)) "self floored at 0" 0.0
+      (Obs.Span_tree.self_s { p with sp_dur_s = 0.1 });
+    Alcotest.(check int) "one orphan end" 1 tree.orphan_ends;
+    Alcotest.(check int) "nothing left open" 0 tree.never_closed
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+
+let test_truncation_policies () =
+  (* One cut-short two-domain stream through every span-tree consumer:
+     dom 1 closes "work", then sees an end with no begin ("stray"); dom
+     0's "req" never closes, but its child "solve" does. *)
+  let trace = "req:cut" in
+  let events =
+    [
+      sb ~trace "req" 0 0.0;
+      sb ~trace "work" 1 0.05;
+      sb ~trace "solve" 0 0.1;
+      se ~trace "work" 1 0.3 0.25;
+      se ~trace "solve" 0 0.4 0.3;
+      se ~trace "stray" 1 0.5 0.2;
+    ]
+  in
+  let tree = Obs.Span_tree.build events in
+  Alcotest.(check (pair int int)) "one orphan end, one never closed" (1, 1)
+    (tree.Obs.Span_tree.orphan_ends, tree.never_closed);
+  (* Flight keeps every node: the orphan as a flat span over
+     [ts - dur, ts], the open span at zero duration over its child. *)
+  Obs.Flight.clear ();
+  Obs.Flight.begin_request ~trace;
+  List.iter (Obs.Flight.sink ()).Obs.Sink.emit events;
+  Obs.Flight.finish ~trace ~req_id:trace ~outcome:(Obs.Flight.Solved "ilp")
+    ~exhausted:false ~queue_wait_s:0.0 ~latency_s:0.5 ~stages:[] ~counters:[];
+  let spans =
+    match Obs.Flight.find trace with
+    | Some r -> r.Obs.Flight.spans
+    | None -> Alcotest.fail "record not stored"
+  in
+  Obs.Flight.clear ();
+  let field f = List.map f spans in
+  Alcotest.(check (list string)) "flight roots by start"
+    [ "req"; "work"; "stray" ]
+    (field (fun s -> s.Obs.Flight.sp_name));
+  Alcotest.(check (list (float 1e-9))) "flight starts" [ 0.0; 0.05; 0.3 ]
+    (field (fun s -> s.Obs.Flight.sp_start_s));
+  Alcotest.(check (list (float 1e-9))) "flight durations" [ 0.0; 0.25; 0.2 ]
+    (field (fun s -> s.Obs.Flight.sp_dur_s));
+  Alcotest.(check (list (list string))) "closed child kept under open parent"
+    [ [ "solve" ]; []; [] ]
+    (field (fun s ->
+         List.map (fun c -> c.Obs.Flight.sp_name) s.Obs.Flight.sp_children));
+  (* Folded stacks drop the orphan and the open frame's own time, but
+     keep the open parent on its closed child's stack. *)
+  let folded = Obs.Trace_export.to_folded events in
+  Alcotest.(check (list string)) "folded stacks" [ "d0;req;solve"; "d1;work" ]
+    (List.map fst folded);
+  Alcotest.(check (list (float 1e-9))) "folded self times" [ 0.3; 0.25 ]
+    (List.map snd folded);
+  (* Stats reports both marks. *)
+  Alcotest.(check bool) "stats counts both" true
+    (contains ~needle:"1 mismatched end(s), 1 never closed"
+       (Obs.Trace_export.stats events))
+
 let test_stats_balance () =
   let ok = Obs.Trace_export.stats span_events in
   Alcotest.(check bool) "balanced trace reported balanced" true
@@ -467,6 +553,8 @@ let suite =
     ("folded self times", `Quick, test_folded_self_times);
     ("folded drops unclosed spans", `Quick, test_folded_drops_unclosed);
     ("stats balance check", `Quick, test_stats_balance);
+    ("span tree self time", `Quick, test_span_tree_self_time);
+    ("truncation policies per consumer", `Quick, test_truncation_policies);
     ("truncated final line salvaged", `Quick,
      test_trace_truncated_final_line_salvaged);
     ("mid-file corruption still fails", `Quick,

@@ -50,8 +50,8 @@ fuzz-faults: build
 	  --corpus-dir test/corpus --repro-dir fuzz_out
 
 # Deadline-bounded anytime solve on the largest bundled benchmark: the
-# cascade degrades ilp -> budgeted b&b -> heuristic -> single-bb floor
-# and prints its degradation report.
+# cascade degrades ilp -> heuristic -> single-bb floor and prints its
+# degradation report.
 cascade-demo: build
 	$(DUNE) exec bin/fbbopt.exe -- optimize -d Industrial3 --cascade \
 	  --deadline-ms 50

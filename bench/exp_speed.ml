@@ -56,16 +56,12 @@ let tests () =
           let pl = Fbb_place.Placement.place ~target_rows:3 nl in
           let prob = Fbb_core.Problem.build ~beta:0.08 pl in
           fun () ->
-            let config =
-              {
-                Fbb_core.Ilp_opt.default_config with
-                strategy = Fbb_core.Ilp_opt.Monolithic;
-                limits =
-                  { Fbb_ilp.Branch_bound.max_nodes = 100_000;
-                    max_seconds = 20.0 };
-              }
+            let limits =
+              { Fbb_ilp.Branch_bound.max_nodes = 100_000; max_seconds = 20.0 }
             in
-            ignore (Fbb_core.Ilp_opt.optimize ~config prob)));
+            ignore
+              (Fbb_ilp.Branch_bound.solve ~limits
+                 (Fbb_core.Ilp_opt.formulate ~max_clusters:2 prob))));
     Test.make ~name:"ablation ilp enumerate (3-row alu)"
       (Staged.stage
          (let nl = Fbb_netlist.Generators.alu ~bits:4 () in
@@ -75,7 +71,6 @@ let tests () =
             let config =
               {
                 Fbb_core.Ilp_opt.default_config with
-                strategy = Fbb_core.Ilp_opt.Enumerate;
                 limits =
                   { Fbb_ilp.Branch_bound.max_nodes = 100_000;
                     max_seconds = 20.0 };

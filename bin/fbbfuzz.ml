@@ -242,13 +242,15 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
   Fbb_fault.Fault.install_io_faults ();
   Printf.printf "fault injection: rate %g, seed %d\n%!" rate fault_seed;
   let total = ref 0 and failed = ref 0 and infeasible = ref 0 in
-  let stage_counts = Array.make 4 0 in
+  let stage_counts = Array.make 3 0 in
   let stage_idx = function
     | Cascade.Ilp -> 0
-    | Cascade.Bb -> 1
-    | Cascade.Heuristic -> 2
-    | Cascade.Single_bb -> 3
+    | Cascade.Heuristic -> 1
+    | Cascade.Single_bb -> 2
   in
+  (* Answer quality on oracle-tractable feasible cases: how many answers
+     sit above the optimum, and the mean leakage/optimum ratio. *)
+  let tractable = ref 0 and above = ref 0 and ratio_sum = ref 0.0 in
   let failing = ref [] in
   let consider ~origin case =
     let r =
@@ -257,8 +259,15 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
     incr total;
     let outcome_note =
       match r.Differential.c_result with
-      | Some { Cascade.outcome = Cascade.Solved { stage; _ }; _ } ->
+      | Some { Cascade.outcome = Cascade.Solved { stage; leakage_nw; _ }; _ }
+        ->
         stage_counts.(stage_idx stage) <- stage_counts.(stage_idx stage) + 1;
+        Option.iter
+          (fun opt ->
+            incr tractable;
+            if leakage_nw > opt +. (1e-9 *. Float.max 1.0 opt) then incr above;
+            ratio_sum := !ratio_sum +. (leakage_nw /. opt))
+          r.Differential.c_optimum_nw;
         Printf.sprintf "[%s]" (Cascade.stage_name stage)
       | Some { Cascade.outcome = Cascade.Infeasible; _ } ->
         incr infeasible;
@@ -315,10 +324,15 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
           (Printexc.to_string e))
     (List.rev !failing);
   Printf.printf
-    "fault fuzz summary: %d case(s); stages ilp=%d bb=%d heuristic=%d \
+    "fault fuzz summary: %d case(s); stages ilp=%d heuristic=%d \
      single_bb=%d; %d infeasible; %d failure(s)\n%!"
-    !total stage_counts.(0) stage_counts.(1) stage_counts.(2) stage_counts.(3)
-    !infeasible !failed;
+    !total stage_counts.(0) stage_counts.(1) stage_counts.(2) !infeasible
+    !failed;
+  Printf.printf
+    "answer quality: %d tractable, %d above the oracle optimum, mean \
+     leakage/oracle %.4f\n%!"
+    !tractable !above
+    (!ratio_sum /. float_of_int !tractable);
   Printf.printf "fault stats (injected/evaluated):\n%!";
   List.iter
     (fun (site, evals, injections) ->

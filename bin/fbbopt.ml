@@ -440,9 +440,9 @@ let optimize_cascade design file beta_pct clusters rows ~deadline_ms ~work svg
 
 let cascade_arg =
   let doc =
-    "Run the anytime fallback cascade (ilp, budgeted B&B, heuristic, single \
-     BB) with independent sign-off instead of the refinement flow. Implied \
-     by $(b,--deadline-ms) and $(b,--work-budget)."
+    "Run the anytime fallback cascade (ilp, heuristic, single BB) with \
+     independent sign-off instead of the refinement flow. Implied by \
+     $(b,--deadline-ms) and $(b,--work-budget)."
   in
   Arg.(value & flag & info [ "cascade" ] ~doc)
 

@@ -1,10 +1,9 @@
 module B = Fbb_util.Budget
 
-type stage = Ilp | Bb | Heuristic | Single_bb
+type stage = Ilp | Heuristic | Single_bb
 
 let stage_name = function
   | Ilp -> "ilp"
-  | Bb -> "bb"
   | Heuristic -> "heuristic"
   | Single_bb -> "single_bb"
 
@@ -99,12 +98,10 @@ type candidate = {
   c_truncated : bool;  (* the stage's budget cut it short *)
 }
 
-let run_ilp strategy ~max_clusters ~budget p =
+let run_ilp ~max_clusters ~budget p =
   let config =
     {
-      Ilp_opt.default_config with
-      max_clusters;
-      strategy;
+      Ilp_opt.max_clusters;
       budget;
       limits =
         {
@@ -145,7 +142,6 @@ let run_single_bb p =
    even on a dead budget. *)
 let stage_frac = function
   | Ilp -> 0.5
-  | Bb -> 0.6
   | Heuristic -> 1.0
   | Single_bb -> 0.0
 
@@ -210,8 +206,7 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
       end
     end
   in
-  attempt Ilp (fun ~budget p -> run_ilp Ilp_opt.Enumerate ~max_clusters ~budget p);
-  attempt Bb (fun ~budget p -> run_ilp Ilp_opt.Monolithic ~max_clusters ~budget p);
+  attempt Ilp (fun ~budget p -> run_ilp ~max_clusters ~budget p);
   attempt Heuristic (fun ~budget p -> run_heuristic ~max_clusters ~budget p);
   attempt Single_bb (fun ~budget:_ p -> run_single_bb p);
   let outcome =

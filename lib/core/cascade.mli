@@ -3,7 +3,7 @@
 
     The cascade runs the stages
 
-    {v ilp -> budgeted B&B -> heuristic -> single BB v}
+    {v ilp -> heuristic -> single BB v}
 
     under one shared {!Fbb_util.Budget}, carving each stage a fraction
     of whatever allowance remains when it starts. A stage's candidate
@@ -20,17 +20,18 @@
 
     Each stage attempt is recorded — stage, status, budget spent,
     leakage — forming the degradation report the CLI prints and the
-    [cascade.*] counters mirror. Stage crashes (e.g. injected
-    ["pool.worker"] faults surfacing as [Worker_error]) are contained:
-    the stage is marked [Crashed] and the cascade falls through to the
-    next stage. The ["budget.exhaust"] fault site is evaluated at every
-    stage entry; when it fires the stage is skipped as if its budget
-    had already tripped. *)
+    [cascade.*] counters mirror. The ILP stage survives injected
+    ["pool.worker"] faults itself (a faulted branch-and-bound wave
+    only forfeits its proof); a stage crash that does escape is
+    contained: the stage is marked [Crashed] and the cascade falls
+    through to the next stage. The ["budget.exhaust"] fault site is
+    evaluated at every stage entry; when it fires the stage is skipped
+    as if its budget had already tripped. *)
 
-type stage = Ilp | Bb | Heuristic | Single_bb
+type stage = Ilp | Heuristic | Single_bb
 
 val stage_name : stage -> string
-(** ["ilp"], ["bb"], ["heuristic"], ["single_bb"]. *)
+(** ["ilp"], ["heuristic"], ["single_bb"]. *)
 
 type status =
   | Accepted  (** candidate passed sign-off and won *)

@@ -1,13 +1,9 @@
 module S = Fbb_lp.Simplex
 module BB = Fbb_ilp.Branch_bound
 
-type strategy = Monolithic | Enumerate
-
 type config = {
   max_clusters : int;
   limits : BB.limits;
-  reduce : bool;
-  strategy : strategy;
   budget : Fbb_util.Budget.t;
 }
 
@@ -15,8 +11,6 @@ let default_config =
   {
     max_clusters = 2;
     limits = BB.default_limits;
-    reduce = true;
-    strategy = Enumerate;
     budget = Fbb_util.Budget.unlimited;
   }
 
@@ -45,6 +39,7 @@ let pairs rv =
 let subsets_considered_c = Fbb_obs.Counter.make "ilp.subsets_considered"
 let subsets_pruned_c = Fbb_obs.Counter.make "ilp.subsets_pruned"
 let constraints_dropped_c = Fbb_obs.Counter.make "ilp.constraints_dropped"
+let reduce_faults_c = Fbb_obs.Counter.make "ilp.reduce_faults"
 
 let reduce_paths p =
   Fbb_obs.Span.with_ ~name:"ilp.reduce_paths" @@ fun () ->
@@ -97,7 +92,7 @@ let reduce_paths p =
   Fbb_obs.Counter.add constraints_dropped_c (m - List.length kept);
   kept
 
-let formulate ?(reduce = true) ~max_clusters p =
+let formulate ~max_clusters p =
   Fbb_obs.Span.with_ ~name:"ilp.formulate" @@ fun () ->
   let nrows = Problem.num_rows p in
   let nlev = Problem.num_levels p in
@@ -110,13 +105,8 @@ let formulate ?(reduce = true) ~max_clusters p =
       minimize.(x i j) <- p.Problem.row_leak.(i).(j)
     done
   done;
-  let kept =
-    if reduce then reduce_paths p
-    else List.init (Problem.num_paths p) (fun k -> k)
-  in
   let timing =
-    List.map
-      (fun k ->
+    List.init (Problem.num_paths p) (fun k ->
         let terms =
           pairs p.Problem.path_rows.(k)
           |> List.concat_map (fun (r, d) ->
@@ -127,7 +117,6 @@ let formulate ?(reduce = true) ~max_clusters p =
                    (List.init nlev (fun j -> j)))
         in
         { S.terms; relation = S.Ge; rhs = p.Problem.required.(k) })
-      kept
   in
   let assignment =
     List.init nrows (fun i ->
@@ -163,56 +152,6 @@ let formulate ?(reduce = true) ~max_clusters p =
     BB.num_vars;
     minimize;
     constraints = timing @ assignment @ linking @ budget @ y_bounds;
-  }
-
-let warm_vector p ~max_clusters levels =
-  if
-    Solution.cluster_count levels <= max_clusters
-    && Solution.meets_timing p levels
-  then begin
-    let nrows = Problem.num_rows p in
-    let nlev = Problem.num_levels p in
-    let v = Array.make ((nrows * nlev) + nlev) 0.0 in
-    Array.iteri (fun i j -> v.((i * nlev) + j) <- 1.0) levels;
-    List.iter
-      (fun j -> v.((nrows * nlev) + j) <- 1.0)
-      (Solution.clusters_used levels);
-    Some v
-  end
-  else None
-
-let optimize_monolithic config ?warm_start p ~kept =
-  Fbb_obs.Span.with_ ~name:"ilp.monolithic" @@ fun () ->
-  let problem =
-    formulate ~reduce:config.reduce ~max_clusters:config.max_clusters p
-  in
-  let incumbent =
-    Option.bind warm_start (warm_vector p ~max_clusters:config.max_clusters)
-  in
-  let r = BB.solve ~limits:config.limits ~budget:config.budget ?incumbent problem in
-  let nrows = Problem.num_rows p in
-  let nlev = Problem.num_levels p in
-  let decode (x, _) =
-    Array.init nrows (fun i ->
-        let best = ref 0 in
-        for j = 1 to nlev - 1 do
-          if x.((i * nlev) + j) > x.((i * nlev) + !best) then best := j
-        done;
-        !best)
-  in
-  let levels = Option.map decode r.BB.best in
-  {
-    levels;
-    leakage_nw = Option.map (fun l -> Solution.leakage_nw p l) levels;
-    proved_optimal = r.BB.status = BB.Proved_optimal;
-    timed_out =
-      (match r.BB.status with
-      | BB.Feasible | BB.Limit_reached -> true
-      | BB.Proved_optimal | BB.Proved_infeasible -> false);
-    nodes = r.BB.nodes;
-    elapsed_s = r.BB.elapsed_s;
-    constraints_total = Problem.num_paths p;
-    constraints_solved = kept;
   }
 
 (* All ascending level subsets of the given size. *)
@@ -401,10 +340,13 @@ let optimize_enumerate config ?warm_start p ~kept =
 
 let optimize ?(config = default_config) ?warm_start p =
   Fbb_obs.Span.with_ ~name:"ilp.optimize" @@ fun () ->
+  (* A crashed pool worker loses the reduction, not the solve: the full
+     path list is the lossless fallback. *)
   let kept =
-    if config.reduce then reduce_paths p
-    else List.init (Problem.num_paths p) (fun k -> k)
+    match reduce_paths p with
+    | kept -> kept
+    | exception Fbb_par.Pool.Worker_error _ ->
+      Fbb_obs.Counter.incr reduce_faults_c;
+      List.init (Problem.num_paths p) Fun.id
   in
-  match config.strategy with
-  | Monolithic -> optimize_monolithic config ?warm_start p ~kept:(List.length kept)
-  | Enumerate -> optimize_enumerate config ?warm_start p ~kept
+  optimize_enumerate config ?warm_start p ~kept

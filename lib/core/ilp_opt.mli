@@ -6,28 +6,27 @@
     one assignment equality per row, the [sum_i x(i,j) <= F y(j)] linking
     rows and [sum_j y(j) <= C].
 
-    Two fidelity/performance options:
-    - [reduce]: drop timing constraints dominated by another (same or
-      smaller requirement with component-wise larger coefficients) — sound
-      and lossless, and essential for the larger designs;
-    - a heuristic warm start seeds the incumbent. *)
+    {!optimize} solves that program by enumerating the (at most [C] of
+    [P]) level subsets the [y] variables range over and solving each
+    restricted assignment problem exactly — provably the same optimum
+    as the monolithic 0-1 program, much faster. Two more speed-ups keep
+    the optimum:
+    - timing constraints dominated by another (same or smaller
+      requirement with component-wise larger coefficients) are dropped
+      ({!reduce_paths}) — sound and lossless, and essential for the
+      larger designs;
+    - a heuristic warm start seeds the incumbent.
 
-type strategy =
-  | Monolithic
-      (** solve the paper's formulation as one 0-1 program — faithful but
-          slow, kept for cross-checks and the ablation bench *)
-  | Enumerate
-      (** enumerate the (at most [C] of [P]) level subsets the [y]
-          variables range over and solve each restricted assignment
-          problem exactly; provably the same optimum, much faster *)
+    Pool faults degrade rather than abort: a crashed worker in
+    {!reduce_paths} falls back to the full path list (counted on
+    [ilp.reduce_faults]), and one inside a branch-and-bound wave
+    forfeits only the proof (see {!Fbb_ilp.Branch_bound.solve}). *)
 
 type config = {
   max_clusters : int;  (** the paper's C *)
   limits : Fbb_ilp.Branch_bound.limits;
       (** global limits: [max_seconds] caps the whole solve, including all
           enumerated subsets *)
-  reduce : bool;  (** dominance-prune timing constraints (default true) *)
-  strategy : strategy;
   budget : Fbb_util.Budget.t;
       (** cooperative budget: ticked once per enumerated subset and
           threaded into every inner branch-and-bound solve (which ticks
@@ -37,8 +36,7 @@ type config = {
 }
 
 val default_config : config
-(** C = 2, default solver limits, reduction on, [Enumerate], unlimited
-    budget. *)
+(** C = 2, default solver limits, unlimited budget. *)
 
 type result = {
   levels : int array option;  (** best assignment found, if any *)
@@ -57,9 +55,10 @@ val reduce_paths : Problem.t -> int list
     the {!Fbb_par.Pool} but depends only on the problem, so the kept
     set is identical at any job count. *)
 
-val formulate :
-  ?reduce:bool -> max_clusters:int -> Problem.t -> Fbb_ilp.Branch_bound.problem
-(** Expose the raw 0-1 program (used by tests to cross-check optima). *)
+val formulate : max_clusters:int -> Problem.t -> Fbb_ilp.Branch_bound.problem
+(** The paper's unreduced 0-1 program, one timing row per path — the
+    reference that tests and the ablation bench solve directly with
+    {!Fbb_ilp.Branch_bound.solve} to cross-check {!optimize}. *)
 
 val optimize :
   ?config:config -> ?warm_start:int array -> Problem.t -> result

@@ -6,7 +6,11 @@
 
     - ["pool.worker"] — a hard exception inside a {!Fbb_par.Pool}
       task; the pool quarantines the chunk and re-raises it at the
-      join point as [Worker_error] with the failing task index;
+      join point as [Worker_error] with the failing task index. The
+      exact solver contains it: a branch-and-bound wave that faults
+      is abandoned without its proof, keeping the incumbent
+      ([bb.wave_faults]), and a faulted dominance reduction falls
+      back to the full path list ([ilp.reduce_faults]);
     - ["pool.transient"] — a transient task failure; the pool retries
       the chunk with bounded deterministic backoff;
     - ["lp.pivot_limit"] — forces {!Fbb_lp.Simplex.solve} to report

@@ -9,6 +9,7 @@ let incumbents_c = Fbb_obs.Counter.make "bb.incumbents"
 let lp_infeasible_c = Fbb_obs.Counter.make "bb.lp_infeasible"
 let lp_pivot_limit_c = Fbb_obs.Counter.make "bb.lp_pivot_limit"
 let waves_c = Fbb_obs.Counter.make "bb.waves"
+let wave_faults_c = Fbb_obs.Counter.make "bb.wave_faults"
 
 type problem = {
   num_vars : int;
@@ -111,6 +112,7 @@ type outcome =
   | Bound_pruned
   | Lp_infeasible
   | Lp_pivot_limit
+  | Wave_fault  (* a pool worker crashed; the wave's outcomes are lost *)
   | Integral of float array * float
   | Branched of node * node
 
@@ -219,9 +221,13 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
       let width = min wave_width (limits.max_nodes - !nodes) in
       let batch, rest = take_batch width !frontier in
       let t = threshold () in
+      let batch = Array.of_list batch in
       let outcomes =
-        Fbb_par.Pool.parallel_map ~chunk:1 (Array.of_list batch)
-          ~f:(explore p t)
+        match Fbb_par.Pool.parallel_map ~chunk:1 batch ~f:(explore p t) with
+        | outcomes -> outcomes
+        | exception Fbb_par.Pool.Worker_error _ ->
+          Fbb_obs.Counter.incr wave_faults_c;
+          Array.map (fun _ -> Wave_fault) batch
       in
       let batch_n = Array.length outcomes in
       (* Budget is ticked here, in the sequential wave fold - one unit
@@ -245,6 +251,10 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
                a proof forfeits optimality, exactly like a node/time
                budget. *)
             Fbb_obs.Counter.incr lp_pivot_limit_c;
+            hit_limit := true
+          | Wave_fault ->
+            (* Same forfeit: the incumbent and the rest of the frontier
+               survive, only the proof is lost. *)
             hit_limit := true
           | Integral (x, obj) -> begin
             match !best with

@@ -70,6 +70,10 @@ val solve :
     [bb.nodes] over a call equals [result.nodes]). An LP relaxation
     ending in {!Fbb_lp.Simplex.Pivot_limit} abandons that subtree and
     downgrades the result to [Feasible]/[Limit_reached], like a node or
-    time budget. *)
+    time budget. A wave whose parallel map raises
+    {!Fbb_par.Pool.Worker_error} (e.g. an injected ["pool.worker"]
+    fault) is handled the same way: its nodes are abandoned, the
+    incumbent and the rest of the frontier are kept, the search goes
+    on, and [bb.wave_faults] counts the wave. *)
 
 val objective_of : problem -> float array -> float

@@ -46,6 +46,7 @@ let empty_outputs =
 type cascade_report = {
   c_case : Case.t;
   c_result : Cascade.result option;  (* None: the whole cascade crashed *)
+  c_optimum_nw : float option;
   c_failures : string list;
 }
 
@@ -64,9 +65,11 @@ let run_cascade ?(max_clusters = 2) ?budget case =
   Fbb_obs.Span.with_ ~name:"differential.cascade" @@ fun () ->
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let optimum = ref None in
   let finish c_result =
     if !failures <> [] then Fbb_obs.Counter.incr cascade_failures_c;
-    { c_case = case; c_result; c_failures = List.rev !failures }
+    { c_case = case; c_result; c_optimum_nw = !optimum;
+      c_failures = List.rev !failures }
   in
   match Fbb_fault.Fault.with_paused (fun () -> Case.build case) with
   | exception e ->
@@ -112,6 +115,7 @@ let run_cascade ?(max_clusters = 2) ?budget case =
               | Oracle.Infeasible ->
                 fail "cascade: solved an instance the oracle proves infeasible"
               | Oracle.Optimal opt ->
+                optimum := Some opt.Oracle.leakage_nw;
                 let tol = leak_tol opt.Oracle.leakage_nw in
                 if leakage_nw < opt.Oracle.leakage_nw -. tol then
                   fail
@@ -135,12 +139,28 @@ let oracle_of ~max_clusters p =
   if Oracle.tractable ~max_clusters p then Some (Oracle.solve ~max_clusters p)
   else None
 
+(* Counters of pool faults the solvers absorb (a branch-and-bound wave
+   abandoned, a dominance reduction skipped). Without fault injection
+   they must stay still, or the containment is hiding a real worker
+   crash. *)
+let contained_faults =
+  List.map Fbb_obs.Counter.make [ "bb.wave_faults"; "ilp.reduce_faults" ]
+
 let run ?(metamorphic = true) ?(ilp_seconds = 30.0) case =
   Fbb_obs.Counter.incr runs_c;
   Fbb_obs.Span.with_ ~name:"differential.run" @@ fun () ->
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let faults_before = List.map Fbb_obs.Counter.read contained_faults in
   let finish outputs =
+    if not (Fbb_fault.Fault.active ()) then
+      List.iter2
+        (fun c before ->
+          let moved = Fbb_obs.Counter.read c - before in
+          if moved <> 0 then
+            fail "%s moved by %d without fault injection"
+              (Fbb_obs.Counter.name c) moved)
+        contained_faults faults_before;
     if !failures <> [] then Fbb_obs.Counter.incr failures_c;
     { case; outputs; failures = List.rev !failures }
   in

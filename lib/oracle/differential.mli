@@ -53,7 +53,10 @@ val run : ?metamorphic:bool -> ?ilp_seconds:float -> Case.t -> report
     extra oracle solves — on oracle-sized instances. [ilp_seconds]
     (default 30) bounds the B&B; a timed-out B&B skips the optimality
     comparison rather than failing. Exceptions while building the case
-    are reported as a single failure prefixed ["build:"]. *)
+    are reported as a single failure prefixed ["build:"]. With fault
+    injection off, any movement of the contained-fault counters
+    ([bb.wave_faults], [ilp.reduce_faults]) during the run is a
+    failure: it means the solvers absorbed a real worker crash. *)
 
 val failed : report -> bool
 
@@ -70,6 +73,8 @@ type cascade_report = {
   c_result : Fbb_core.Cascade.result option;
       (** [None] when the cascade itself crashed — always a failure,
           since containing stage crashes is the cascade's contract *)
+  c_optimum_nw : float option;
+      (** the oracle optimum, on tractable feasible instances *)
   c_failures : string list;  (** empty = all checks passed *)
 }
 

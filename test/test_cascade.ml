@@ -120,6 +120,54 @@ let test_fault_forced_degradation () =
                Cascade.verify p ~max_clusters:2 levels))
       | _ -> Alcotest.fail "expected the floor to answer under faults")
 
+(* Every pool task crashes (["pool.worker"] at rate 1, no other site
+   live): the exact solvers must absorb it rather than raise. *)
+let with_worker_faults f =
+  Fbb_fault.Fault.configure ~rate:0.0 ~seed:1;
+  Fbb_fault.Fault.set_site_rate "pool.worker" 1.0;
+  Fun.protect ~finally:Fbb_fault.Fault.clear f
+
+let test_bb_survives_worker_faults () =
+  let module BB = Fbb_ilp.Branch_bound in
+  (* min x0 + x1 subject to x0 + x1 >= 1. *)
+  let problem =
+    {
+      BB.num_vars = 2;
+      minimize = [| 1.0; 1.0 |];
+      constraints =
+        [ { Fbb_lp.Simplex.terms = [ (0, 1.0); (1, 1.0) ];
+            relation = Fbb_lp.Simplex.Ge; rhs = 1.0 } ];
+    }
+  in
+  let wave_faults = Fbb_obs.Counter.make "bb.wave_faults" in
+  with_worker_faults (fun () ->
+      let before = Fbb_obs.Counter.read wave_faults in
+      let r = BB.solve ~incumbent:[| 1.0; 1.0 |] problem in
+      Alcotest.(check bool) "feasible, proof forfeited" true
+        (r.BB.status = BB.Feasible);
+      Alcotest.(check bool) "incumbent kept" true
+        (r.BB.best = Some ([| 1.0; 1.0 |], 2.0));
+      Alcotest.(check bool) "faulted waves counted" true
+        (Fbb_obs.Counter.read wave_faults > before);
+      let r = BB.solve problem in
+      Alcotest.(check bool) "no incumbent: limit reached" true
+        (r.BB.status = BB.Limit_reached))
+
+let test_ilp_stage_survives_worker_faults () =
+  let p = Tsupport.small_problem () in
+  let r = with_worker_faults (fun () -> Cascade.solve p) in
+  List.iter
+    (fun a ->
+      match (a.Cascade.stage, a.Cascade.status) with
+      | Cascade.Ilp, Cascade.Crashed m -> Alcotest.failf "ilp crashed: %s" m
+      | _ -> ())
+    r.Cascade.attempts;
+  match r.Cascade.outcome with
+  | Cascade.Solved { levels; _ } ->
+    Alcotest.(check bool) "answer signed off" true
+      (Cascade.verify p ~max_clusters:2 levels)
+  | Cascade.Infeasible -> Alcotest.fail "feasible instance reported infeasible"
+
 let suite =
   [
     ("unlimited budget is exact", `Quick, test_unlimited_budget_is_exact);
@@ -130,4 +178,7 @@ let suite =
      test_verify_rejects_bad_assignments);
     ("attempts are reported", `Quick, test_attempts_are_reported);
     ("fault-forced degradation", `Quick, test_fault_forced_degradation);
+    ("b&b survives worker faults", `Quick, test_bb_survives_worker_faults);
+    ("ilp stage survives worker faults", `Quick,
+     test_ilp_stage_survives_worker_faults);
   ]

@@ -209,40 +209,43 @@ let test_ilp_beats_heuristic () =
       (leak <= h.Heuristic.leakage_nw +. 1e-6)
   | None -> Alcotest.fail "no ilp solution"
 
+(* A small problem so the paper's monolithic program finishes quickly. *)
+let small_exact_problem =
+  lazy
+    (let nl = Fbb_netlist.Generators.prefix_adder ~bits:8 () in
+     let pl = Fbb_place.Placement.place ~target_rows:3 nl in
+     Problem.build ~beta:0.08 pl)
+
+let small_exact_limits = { BB.max_nodes = 200_000; max_seconds = 60.0 }
+
 let test_strategies_agree () =
-  (* A smaller problem so the monolithic formulation finishes quickly. *)
-  let nl = Fbb_netlist.Generators.prefix_adder ~bits:8 () in
-  let pl = Fbb_place.Placement.place ~target_rows:3 nl in
-  let p = Problem.build ~beta:0.08 pl in
-  let limits = { BB.max_nodes = 200_000; max_seconds = 60.0 } in
-  let run strategy =
-    Ilp.optimize
-      ~config:{ Ilp.default_config with strategy; limits }
-      p
-  in
-  let a = run Ilp.Enumerate in
-  let b = run Ilp.Monolithic in
+  (* The production solve (dominance-reduced, enumerated subsets)
+     against the paper's unreduced 0-1 program solved as one search. *)
+  let p = Lazy.force small_exact_problem in
+  let limits = small_exact_limits in
+  let a = Ilp.optimize ~config:{ Ilp.default_config with limits } p in
+  let b = BB.solve ~limits (Ilp.formulate ~max_clusters:2 p) in
   Alcotest.(check bool) "both proved" true
-    (a.Ilp.proved_optimal && b.Ilp.proved_optimal);
-  match (a.Ilp.leakage_nw, b.Ilp.leakage_nw) with
-  | Some la, Some lb ->
-    Alcotest.(check (float 1e-3)) "same optimum" lb la
+    (a.Ilp.proved_optimal && b.BB.status = BB.Proved_optimal);
+  match (a.Ilp.leakage_nw, b.BB.best) with
+  | Some la, Some (_, lb) -> Alcotest.(check (float 1e-3)) "same optimum" lb la
   | _, _ -> Alcotest.fail "missing solutions"
 
 let test_constraint_reduction_lossless () =
-  let nl = Fbb_netlist.Generators.prefix_adder ~bits:8 () in
-  let pl = Fbb_place.Placement.place ~target_rows:3 nl in
-  let p = Problem.build ~beta:0.08 pl in
-  let limits = { BB.max_nodes = 200_000; max_seconds = 60.0 } in
-  let run reduce =
-    Ilp.optimize ~config:{ Ilp.default_config with reduce; limits } p
-  in
-  let a = run true and b = run false in
-  Alcotest.(check bool) "reduction keeps fewer constraints" true
-    (a.Ilp.constraints_solved <= b.Ilp.constraints_solved);
-  match (a.Ilp.leakage_nw, b.Ilp.leakage_nw) with
-  | Some la, Some lb -> Alcotest.(check (float 1e-3)) "same optimum" lb la
-  | _, _ -> Alcotest.fail "missing solutions"
+  (* The reduced solve keeps a subset of the timing rows, and its answer
+     still meets every path, including the dropped ones. *)
+  let p = Lazy.force small_exact_problem in
+  let limits = small_exact_limits in
+  let a = Ilp.optimize ~config:{ Ilp.default_config with limits } p in
+  Alcotest.(check bool) "reduction keeps at most every constraint" true
+    (a.Ilp.constraints_solved <= a.Ilp.constraints_total);
+  Alcotest.(check int) "every path counted" (Problem.num_paths p)
+    a.Ilp.constraints_total;
+  match a.Ilp.levels with
+  | Some levels ->
+    Alcotest.(check bool) "meets every unreduced path" true
+      (Solution.meets_timing p levels)
+  | None -> Alcotest.fail "missing solution"
 
 let test_ilp_infeasible_beta () =
   let p = Problem.build ~beta:0.6 (Lazy.force Tsupport.small_placement) in
@@ -252,7 +255,7 @@ let test_ilp_infeasible_beta () =
 
 let test_formulation_shape () =
   let p = problem () in
-  let bbp = Ilp.formulate ~reduce:false ~max_clusters:2 p in
+  let bbp = Ilp.formulate ~max_clusters:2 p in
   let nrows = Problem.num_rows p and nlev = Problem.num_levels p in
   Alcotest.(check int) "variables = N*P + P"
     ((nrows * nlev) + nlev)

@@ -570,11 +570,10 @@ let tune_cmd =
 let recover design file rows margin clusters =
   let* pl = load_placement ~design ~file ~rows in
   report_placement pl;
-  let t = Fbb_core.Recovery.build ~margin:(margin /. 100.0) pl in
-  let r = Fbb_core.Recovery.optimize ~max_clusters:clusters t in
+  let p = Fbb_core.Recovery.build ~margin:(margin /. 100.0) pl in
+  let r = Fbb_core.Recovery.optimize ~max_clusters:clusters p in
   Printf.printf
-    "timing budget: %.1f ps (margin %.1f%%)\n" t.Fbb_core.Recovery.budget_ps
-    margin;
+    "timing budget: %.1f ps (margin %.1f%%)\n" p.Fbb_core.Problem.dcrit margin;
   Printf.printf
     "leakage: %.3f uW nominal -> %.3f uW with RBB (%.1f%% recovered)\n"
     (r.Fbb_core.Recovery.nominal_leakage_nw /. 1000.0)
@@ -583,8 +582,7 @@ let recover design file rows margin clusters =
   Printf.printf "clusters: %s (signoff %s)\n"
     (String.concat "/"
        (List.map
-          (fun l ->
-            Printf.sprintf "%.2fV" t.Fbb_core.Recovery.levels.(l))
+          (fun l -> Printf.sprintf "%.2fV" p.Fbb_core.Problem.levels.(l))
           (Fbb_core.Solution.clusters_used r.Fbb_core.Recovery.levels)))
     (if r.Fbb_core.Recovery.signoff_clean then "clean" else "NOT CLEAN");
   Ok ()
@@ -598,7 +596,7 @@ let recover_cmd =
   let run d f r m c =
     match recover d f r m c with
     | Ok () -> `Ok ()
-    | Error msg -> `Error (false, msg)
+    | Error msg | (exception Invalid_argument msg) -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "recover"

@@ -27,18 +27,18 @@ let () =
   in
   List.iter
     (fun margin ->
-      let t = Fbb_core.Recovery.build ~margin placement in
-      let r = Fbb_core.Recovery.optimize ~max_clusters:2 t in
+      let p = Fbb_core.Recovery.build ~margin placement in
+      let r = Fbb_core.Recovery.optimize ~max_clusters:2 p in
       Fbb_util.Texttab.add_row tab
         [
           Printf.sprintf "%.0f" (margin *. 100.0);
-          Printf.sprintf "%.0f" t.Fbb_core.Recovery.budget_ps;
+          Printf.sprintf "%.0f" p.Fbb_core.Problem.dcrit;
           Printf.sprintf "%.3f"
             (r.Fbb_core.Recovery.recovered_leakage_nw /. 1000.0);
           Printf.sprintf "%.1f" r.Fbb_core.Recovery.savings_pct;
           String.concat "/"
             (List.map
-               (fun l -> Printf.sprintf "%.2fV" t.Fbb_core.Recovery.levels.(l))
+               (fun l -> Printf.sprintf "%.2fV" p.Fbb_core.Problem.levels.(l))
                (Fbb_core.Solution.clusters_used r.Fbb_core.Recovery.levels));
         ])
     [ 0.0; 0.03; 0.06; 0.10; 0.15 ];

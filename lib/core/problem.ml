@@ -48,17 +48,20 @@ let leak_tables placement ~levels =
             0.0 gates)
         leak_f)
 
+(* The Pi screen, decided once per level set. When no level slows a gate
+   (every reduction >= 0), a path whose degraded delay already meets
+   [dcrit] can never violate and is dropped. A reverse level (negative
+   reduction) can push any path over the budget, so every path is kept. *)
+let screen ~reduction ~beta ~dcrit =
+  if Array.exists (fun r -> r < 0.0) reduction then fun (_ : float) -> true
+  else fun delay -> delay *. (1.0 +. beta) > dcrit +. 1e-9
+
 (* All per-path tables are derived from the nominal analysis: a path's
-   degraded delay is its nominal delay times (1 + beta), and forward bias
+   degraded delay is its nominal delay times (1 + beta), and body bias
    scales every gate delay by the same level-dependent factor. *)
-let assemble ~placement ~analysis ~cache ~row_leak ~beta ~levels paths =
-  let lib = Fbb_netlist.Netlist.library (Placement.netlist placement) in
-  let device = CL.device lib in
-  let dcrit = Timing.dcrit analysis in
+let assemble ~placement ~analysis ~cache ~row_leak ~beta ~dcrit ~levels
+    ~reduction paths =
   let nrows = Placement.num_rows placement in
-  let reduction =
-    Array.map (fun vbs -> 1.0 -. Device.delay_factor device ~vbs) levels
-  in
   let row_leak =
     match row_leak with
     | Some tables -> tables
@@ -144,8 +147,11 @@ let assemble ~placement ~analysis ~cache ~row_leak ~beta ~levels paths =
     cache;
   }
 
-let build ?cache ?analysis ?paths ?row_leak ?levels ~beta placement =
+let build ?cache ?analysis ?paths ?row_leak ?levels ?(margin = 0.0) ~beta
+    placement =
   Fbb_obs.Span.with_ ~name:"problem.build" @@ fun () ->
+  if not (Float.is_finite margin && margin >= 0.0) then
+    invalid_arg "Problem.build: margin must be finite and >= 0";
   let levels =
     match levels with Some l -> l | None -> Fbb_tech.Bias.levels ()
   in
@@ -164,15 +170,24 @@ let build ?cache ?analysis ?paths ?row_leak ?levels ~beta placement =
       a
     | None -> Timing.analyze ?cache nl
   in
-  let paths =
-    match paths with
-    | Some through ->
-      Paths.violating_from through ~dcrit:(Timing.dcrit analysis) ~beta
-    | None -> Paths.violating analysis ~beta
+  let dcrit = Timing.dcrit analysis *. (1.0 +. margin) in
+  let device = CL.device (Fbb_netlist.Netlist.library nl) in
+  let reduction =
+    Array.map (fun vbs -> 1.0 -. Device.delay_factor device ~vbs) levels
   in
-  assemble ~placement ~analysis ~cache ~row_leak ~beta ~levels paths
+  let keep = screen ~reduction ~beta ~dcrit in
+  let through =
+    match paths with Some p -> p | None -> Paths.through_cell analysis
+  in
+  let paths =
+    Array.of_list
+      (List.filter (fun p -> keep p.Paths.delay) (Array.to_list through))
+  in
+  assemble ~placement ~analysis ~cache ~row_leak ~beta ~dcrit ~levels
+    ~reduction paths
 
 let extend t extra =
+  let keep = screen ~reduction:t.reduction ~beta:t.beta ~dcrit:t.dcrit in
   let seen = Hashtbl.create (Array.length t.paths * 2) in
   Array.iter (fun p -> Hashtbl.replace seen p.Paths.gates ()) t.paths;
   let fresh =
@@ -184,16 +199,15 @@ let extend t extra =
              (* Recompute the delay under the nominal analysis: callers may
                 hand us paths measured under bias. *)
              let delay = Paths.delay_of t.analysis p.Paths.gates in
-             if delay *. (1.0 +. t.beta) > t.dcrit +. 1e-9 then
-               Some { Paths.gates = p.Paths.gates; delay }
+             if keep delay then Some { Paths.gates = p.Paths.gates; delay }
              else None
            end)
   in
   if fresh = [] then t
   else
     assemble ~placement:t.placement ~analysis:t.analysis ~cache:t.cache
-      ~row_leak:(Some t.row_leak) ~beta:t.beta ~levels:t.levels
-      (Array.append t.paths (Array.of_list fresh))
+      ~row_leak:(Some t.row_leak) ~beta:t.beta ~dcrit:t.dcrit ~levels:t.levels
+      ~reduction:t.reduction (Array.append t.paths (Array.of_list fresh))
 
 let coefficient t ~path ~row ~level =
   let rows = t.path_rows.(path) in

@@ -4,7 +4,9 @@
     produces everything both optimizers consume:
 
     - the critical path set Pi — the pruned per-cell longest paths whose
-      degraded delay [pd * (1 + beta)] exceeds [Dcrit];
+      degraded delay [pd * (1 + beta)] exceeds [Dcrit]. That screen is
+      sound only when no level slows a gate, so with any negative
+      [reduction] (reverse levels) Pi is every per-cell longest path;
     - per path the required delay reduction [b_k = pd*(1+beta) - Dcrit];
     - per (row, path) the total degraded delay of the path's cells in that
       row, from which the paper's coefficients follow as
@@ -13,7 +15,9 @@
     - per (row, level) the row leakage [L(i,j)].
 
     Levels index the bias generator's voltages ({!Fbb_tech.Bias}), level 0
-    being no body bias. *)
+    being no body bias. The same program covers reverse-bias leakage
+    recovery ({!Recovery}): [beta = 0], negative level reductions and
+    [b_k = -slack_k]. *)
 
 type rowvec = { idx : int array; coef : float array }
 (** A sparse coefficient vector in struct-of-arrays form: [coef.(i)]
@@ -24,13 +28,19 @@ type t = {
   placement : Fbb_place.Placement.t;
   analysis : Fbb_sta.Timing.t;  (** the nominal STA the tables came from *)
   beta : float;
-  dcrit : float;  (** timing spec: nominal critical delay, ps *)
+  dcrit : float;
+      (** timing budget, ps: the nominal critical delay times
+          [1 + margin] (see {!build}) *)
   levels : float array;  (** generator voltages, ascending, [levels.(0) = 0] *)
   reduction : float array;
-      (** per level: fractional delay reduction [1 - delay_factor] *)
+      (** per level: fractional delay reduction [1 - delay_factor];
+          negative for reverse levels *)
   row_leak : float array array;  (** [row_leak.(i).(j)]: leakage in nW *)
-  paths : Fbb_sta.Paths.path array;  (** the violating set Pi *)
-  required : float array;  (** [b_k] in ps, positive *)
+  paths : Fbb_sta.Paths.path array;  (** the constraint set Pi *)
+  required : float array;
+      (** [b_k = pd*(1+beta) - dcrit] in ps: positive on screened forward
+          problems, negative (minus the slack) on paths that meet the
+          budget *)
   path_rows : rowvec array;
       (** per path: degraded delay of the path's cells per row *)
   row_paths : rowvec array;  (** transpose of [path_rows] *)
@@ -52,11 +62,15 @@ val build :
   ?paths:Fbb_sta.Paths.path array ->
   ?row_leak:float array array ->
   ?levels:float array ->
+  ?margin:float ->
   beta:float ->
   Fbb_place.Placement.t ->
   t
 (** Runs nominal STA, extracts and prunes the path set, and assembles all
     coefficient tables. [levels] defaults to the 11 generator voltages.
+    [margin] (default 0) sets the budget [dcrit] to the nominal critical
+    delay times [1 + margin]; [margin = 0] is the paper's spec exactly.
+    Raises [Invalid_argument] unless [margin] is finite and [>= 0].
 
     Repeated-build loops (Monte-Carlo recovery samples the same design at
     many [beta]s) can skip the per-build STA, extraction and leakage
@@ -88,9 +102,10 @@ val max_single_level : t -> int option
 val extend : t -> Fbb_sta.Paths.path array -> t
 (** Add timing constraints for further paths (gate sequences); their
     delays and coefficient tables are recomputed from the problem's own
-    nominal analysis, and paths already present (or not violating under
-    [beta]) are dropped. Used by the {!Refine} loop when signoff finds a
-    violating path outside the original per-cell longest set. *)
+    nominal analysis. Paths already present, or screened out as in
+    {!build}, are dropped; the budget [dcrit] is kept. Used by the
+    {!Refine} loop when signoff finds a violating path outside the
+    original per-cell longest set. *)
 
 val row_leakage : t -> row:int -> level:int -> float
 val total_leakage : t -> levels:int array -> float

@@ -1,181 +1,7 @@
-module Placement = Fbb_place.Placement
-module Timing = Fbb_sta.Timing
-module Paths = Fbb_sta.Paths
-module Device = Fbb_tech.Device
-module CL = Fbb_tech.Cell_library
-
-type t = {
-  placement : Placement.t;
-  budget_ps : float;
-  levels : float array;
-  slack : float array;
-  path_rows : (int * float) array array;
-  row_paths : (int * float) array array;
-  row_leak : float array array;
-  stretch : float array;
-  analysis : Timing.t;
-  base_paths : Paths.path array;
-  cache : Fbb_sta.Delay_cache.t;
-}
-
-let assemble ~placement ~analysis ~cache ~base_paths ~budget_ps ~levels
-    ?row_leak paths =
-  let nl = Placement.netlist placement in
-  let lib = Fbb_netlist.Netlist.library nl in
-  let device = CL.device lib in
-  let nrows = Placement.num_rows placement in
-  let stretch =
-    Array.map (fun vbs -> Device.delay_factor device ~vbs -. 1.0) levels
-  in
-  let slack = Array.map (fun p -> budget_ps -. p.Paths.delay) paths in
-  let path_rows =
-    (* Same scratch-accumulator scheme as [Problem.assemble]: touched-row
-       reset keeps this O(total path gates), identical per-row sums. *)
-    let scratch = Array.make nrows 0.0 in
-    let seen = Array.make nrows false in
-    let touched = Array.make (max nrows 1) 0 in
-    Array.map
-      (fun p ->
-        let k = ref 0 in
-        Array.iter
-          (fun g ->
-            let r = Placement.row_of placement g in
-            if r >= 0 then begin
-              if not seen.(r) then begin
-                seen.(r) <- true;
-                touched.(!k) <- r;
-                incr k
-              end;
-              scratch.(r) <- Timing.gate_delay analysis g +. scratch.(r)
-            end)
-          p.Paths.gates;
-        let rows = Array.sub touched 0 !k in
-        Array.sort Int.compare rows;
-        let out = Array.map (fun r -> (r, scratch.(r))) rows in
-        Array.iter
-          (fun r ->
-            scratch.(r) <- 0.0;
-            seen.(r) <- false)
-          rows;
-        out)
-      paths
-  in
-  let row_paths =
-    let acc = Array.make nrows [] in
-    Array.iteri
-      (fun k rows ->
-        Array.iter (fun (r, d) -> acc.(r) <- (k, d) :: acc.(r)) rows)
-      path_rows;
-    Array.map (fun l -> Array.of_list (List.rev l)) acc
-  in
-  (* Flat leakage: one device-model evaluation per RBB level, one
-     multiply per gate (same products, same fold order as the
-     [leakage_nw] walk it replaces). *)
-  let row_leak =
-    match row_leak with
-    | Some tables -> tables
-    | None ->
-      let leak_f =
-        Array.map (fun vbs -> Device.leakage_factor device ~vbs) levels
-      in
-      Array.init nrows (fun r ->
-          let gates = Placement.row_gates placement r in
-          Array.map
-            (fun f ->
-              Array.fold_left
-                (fun acc g ->
-                  acc +. ((Fbb_netlist.Netlist.cell nl g).CL.leak_nw *. f))
-                0.0 gates)
-            leak_f)
-  in
-  {
-    placement;
-    budget_ps;
-    levels;
-    slack;
-    path_rows;
-    row_paths;
-    row_leak;
-    stretch;
-    analysis;
-    base_paths;
-    cache;
-  }
-
-let build ?(margin = 0.0) placement =
-  if margin < 0.0 then invalid_arg "Recovery.build: negative margin";
-  let cache = Fbb_sta.Delay_cache.create (Placement.netlist placement) in
-  let analysis = Timing.analyze ~cache (Placement.netlist placement) in
-  let budget_ps = Timing.dcrit analysis *. (1.0 +. margin) in
-  let levels = Fbb_tech.Bias.rbb_levels () in
-  let base_paths = Paths.through_cell analysis in
-  assemble ~placement ~analysis ~cache ~base_paths ~budget_ps ~levels
-    base_paths
-
-let eps = 1e-9
-
-let stretched_over t ~levels ~path =
-  Array.fold_left
-    (fun acc (r, d) -> acc +. (d *. t.stretch.(levels.(r))))
-    0.0 t.path_rows.(path)
-
-(* Early exit: called per candidate move in sign-off loops. *)
-let meets_budget t levels =
-  let n = Array.length t.slack in
-  let rec go k =
-    k >= n
-    || (stretched_over t ~levels ~path:k <= t.slack.(k) +. eps && go (k + 1))
-  in
-  go 0
-
-let leakage_nw t levels =
-  let acc = ref 0.0 in
-  Array.iteri (fun r j -> acc := !acc +. t.row_leak.(r).(j)) levels;
-  !acc
-
-(* Incremental budget checker: sigma[k] tracks each path's added delay. *)
-module Checker = struct
-  type c = {
-    t : t;
-    levels : int array;
-    sigma : float array;
-    mutable violations : int;
-  }
-
-  let create t levels0 =
-    let levels = Array.copy levels0 in
-    let sigma =
-      Array.init
-        (Array.length t.slack)
-        (fun k -> stretched_over t ~levels ~path:k)
-    in
-    let violations = ref 0 in
-    Array.iteri
-      (fun k s -> if sigma.(k) > s +. eps then incr violations)
-      t.slack;
-    { t; levels; sigma; violations = !violations }
-
-  let set c ~row ~level =
-    let old_level = c.levels.(row) in
-    if old_level <> level then begin
-      let delta = c.t.stretch.(level) -. c.t.stretch.(old_level) in
-      Array.iter
-        (fun (k, d) ->
-          let s = c.t.slack.(k) in
-          let before = c.sigma.(k) in
-          let after = before +. (d *. delta) in
-          c.sigma.(k) <- after;
-          let was_bad = before > s +. eps in
-          let is_bad = after > s +. eps in
-          if was_bad && not is_bad then c.violations <- c.violations - 1
-          else if is_bad && not was_bad then c.violations <- c.violations + 1)
-        c.t.row_paths.(row);
-      c.levels.(row) <- level
-    end
-
-  let feasible c = c.violations = 0
-  let levels c = Array.copy c.levels
-end
+let build ?margin placement =
+  let nl = Fbb_place.Placement.netlist placement in
+  Problem.build ~cache:(Fbb_sta.Delay_cache.create nl)
+    ~levels:(Fbb_tech.Bias.rbb_levels ()) ~beta:0.0 ?margin placement
 
 type result = {
   levels : int array;
@@ -189,21 +15,58 @@ type result = {
 
 (* Criticality mirror: rows whose cells sit on tight-slack paths must stay
    near NBB; rank by the same 1/slack weighting as the FBB heuristic. *)
-let criticality t =
-  let nrows = Placement.num_rows t.placement in
-  let ct = Array.make nrows 0.0 in
-  let epsilon = Float.max 1e-6 (t.budget_ps *. 1e-3) in
+let criticality (p : Problem.t) =
+  let ct = Array.make (Problem.num_rows p) 0.0 in
+  let epsilon = Float.max 1e-6 (p.dcrit *. 1e-3) in
   Array.iteri
-    (fun k rows ->
-      let weight = 1.0 /. (Float.max 0.0 t.slack.(k) +. epsilon) in
-      Array.iter (fun (r, _) -> ct.(r) <- ct.(r) +. weight) rows)
-    t.path_rows;
+    (fun k (rows : Problem.rowvec) ->
+      let weight = 1.0 /. (Float.max 0.0 p.nominal_slack.(k) +. epsilon) in
+      Array.iter (fun r -> ct.(r) <- ct.(r) +. weight) rows.idx)
+    p.path_rows;
   ct
 
-let greedy t ~max_clusters =
-  let nrows = Placement.num_rows t.placement in
-  let nlev = Array.length t.levels in
-  let ct = criticality t in
+(* Merge down to the cluster budget: lowering a row's RBB depth (towards
+   NBB) can only relax timing, so merge the adjacent used-level pair whose
+   merge-to-the-shallower-level wastes the least recovery. *)
+let rec shrink (p : Problem.t) ~max_clusters levels =
+  let used = Solution.clusters_used levels in
+  if List.length used <= max_clusters then levels
+  else begin
+    let rec adj = function
+      | a :: (b :: _ as rest) -> (a, b) :: adj rest
+      | [ _ ] | [] -> []
+    in
+    (* used is ascending; merging (shallow, deep) moves deep rows to the
+       shallow level. *)
+    let cost lo hi =
+      let acc = ref 0.0 in
+      Array.iteri
+        (fun r l ->
+          if l = hi then
+            acc := !acc +. p.row_leak.(r).(lo) -. p.row_leak.(r).(hi))
+        levels;
+      !acc
+    in
+    let best =
+      List.fold_left
+        (fun acc (lo, hi) ->
+          let c = cost lo hi in
+          match acc with
+          | Some (_, _, c') when c' <= c -> acc
+          | Some _ | None -> Some (lo, hi, c))
+        None (adj used)
+    in
+    match best with
+    | None -> levels
+    | Some (lo, hi, _) ->
+      shrink p ~max_clusters
+        (Array.map (fun l -> if l = hi then lo else l) levels)
+  end
+
+let greedy ~max_clusters p =
+  let nrows = Problem.num_rows p in
+  let nlev = Problem.num_levels p in
+  let ct = criticality p in
   let ranked = Array.init nrows (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -214,7 +77,7 @@ let greedy t ~max_clusters =
   (* Deepen reverse bias on the least-critical rows, one level per round,
      locking a row at its current depth once a further step breaks the
      budget. *)
-  let checker = Checker.create t (Array.make nrows 0) in
+  let checker = Solution.Checker.create p (Solution.uniform p 0) in
   let locked = Array.make nrows false in
   let running = ref true in
   while !running do
@@ -222,13 +85,13 @@ let greedy t ~max_clusters =
     Array.iter
       (fun r ->
         if not locked.(r) then begin
-          let cur = checker.Checker.levels.(r) in
+          let cur = Solution.Checker.level checker ~row:r in
           if cur >= nlev - 1 then locked.(r) <- true
           else begin
-            Checker.set checker ~row:r ~level:(cur + 1);
-            if Checker.feasible checker then moved := true
+            Solution.Checker.set checker ~row:r ~level:(cur + 1);
+            if Solution.Checker.feasible checker then moved := true
             else begin
-              Checker.set checker ~row:r ~level:cur;
+              Solution.Checker.set checker ~row:r ~level:cur;
               locked.(r) <- true
             end
           end
@@ -236,133 +99,26 @@ let greedy t ~max_clusters =
       ranked;
     if not !moved then running := false
   done;
-  let levels = Checker.levels checker in
-  (* Merge down to the cluster budget: lowering a row's RBB depth (towards
-     NBB) can only relax timing, so merge the adjacent used-level pair
-     whose merge-to-the-shallower-level wastes the least recovery. *)
-  let rec shrink levels =
-    let used = Solution.clusters_used levels in
-    if List.length used <= max_clusters then levels
-    else begin
-      let rec adj = function
-        | a :: (b :: _ as rest) -> (a, b) :: adj rest
-        | [ _ ] | [] -> []
-      in
-      (* used is ascending; merging (shallow, deep) moves deep rows to the
-         shallow level. *)
-      let cost lo hi =
-        let acc = ref 0.0 in
-        Array.iteri
-          (fun r l ->
-            if l = hi then
-              acc := !acc +. t.row_leak.(r).(lo) -. t.row_leak.(r).(hi))
-          levels;
-        !acc
-      in
-      let best =
-        List.fold_left
-          (fun acc (lo, hi) ->
-            let c = cost lo hi in
-            match acc with
-            | Some (_, _, c') when c' <= c -> acc
-            | Some _ | None -> Some (lo, hi, c))
-          None (adj used)
-      in
-      match best with
-      | None -> levels
-      | Some (lo, hi, _) ->
-        shrink (Array.map (fun l -> if l = hi then lo else l) levels)
-    end
-  in
-  shrink levels
+  shrink p ~max_clusters (Solution.Checker.levels checker)
 
-(* Same screen as [Refine]: the biased dcrit is the maximum through-cell
-   path delay, so a within-budget dcrit means no offenders without
-   extracting anything. *)
-let offenders_of t biased =
-  if Timing.dcrit biased <= t.budget_ps +. 1e-6 then [||]
-  else
-    Paths.through_cell biased
-    |> Array.to_list
-    |> List.filter (fun p -> p.Paths.delay > t.budget_ps +. 1e-6)
-    |> Array.of_list
-
-let row_bias t levels g =
-  let r = Placement.row_of t.placement g in
-  if r < 0 then 0.0 else t.levels.(levels.(r))
-
-let signoff t levels =
-  let biased =
-    Timing.analyze ~cache:t.cache ~bias:(row_bias t levels)
-      (Placement.netlist t.placement)
+let optimize ?(max_clusters = 2) ?(max_iterations = 8) p =
+  if max_clusters < 1 then invalid_arg "Recovery.optimize: max_clusters < 1";
+  (* Greedy always returns an assignment, so the refinement loop always
+     answers. *)
+  let o =
+    Option.get
+      (Refine.solve ~max_iterations
+         ~solver:(fun q -> Some (greedy ~max_clusters q))
+         p)
   in
-  let offenders = offenders_of t biased in
-  (Array.length offenders = 0, offenders)
-
-(* Sign-off through a reused incremental context: only the rows whose
-   level changed since the previous candidate re-propagate. *)
-let signoff_incr ctx t levels =
-  let biased = Timing.Incremental.set_bias ctx (row_bias t levels) in
-  let offenders = offenders_of t biased in
-  (Array.length offenders = 0, offenders)
-
-let optimize ?(max_clusters = 2) ?(max_iterations = 8) t0 =
-  let nrows = Placement.num_rows t0.placement in
-  let nominal = leakage_nw t0 (Array.make nrows 0) in
-  let analysis = t0.analysis in
-  let base = t0.base_paths in
-  let ctx =
-    Timing.Incremental.create ~cache:t0.cache
-      (Placement.netlist t0.placement)
-  in
-  (* Refinement: the constraint set holds per-cell longest paths of the
-     NBB netlist; under non-uniform stretching another path can become the
-     budget-breaker. Fold signoff offenders back in (accumulating across
-     iterations) and retry. *)
-  let extras : (Fbb_netlist.Netlist.id array, Paths.path) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iter (fun p -> Hashtbl.replace extras p.Paths.gates p) base;
-  let rec loop t iterations =
-    let levels = greedy t ~max_clusters in
-    let clean, offenders = signoff_incr ctx t levels in
-    if clean || iterations + 1 >= max_iterations then
-      (levels, clean, iterations + 1)
-    else begin
-      let added = ref false in
-      Array.iter
-        (fun p ->
-          if not (Hashtbl.mem extras p.Paths.gates) then begin
-            added := true;
-            Hashtbl.replace extras p.Paths.gates
-              {
-                Paths.gates = p.Paths.gates;
-                delay = Paths.delay_of analysis p.Paths.gates;
-              }
-          end)
-        offenders;
-      if not !added then (levels, clean, iterations + 1)
-      else begin
-        let union =
-          Hashtbl.fold (fun _ p acc -> p :: acc) extras [] |> Array.of_list
-        in
-        let t' =
-          assemble ~placement:t.placement ~analysis ~cache:t0.cache
-            ~base_paths:base ~budget_ps:t.budget_ps ~levels:t.levels
-            ~row_leak:t0.row_leak union
-        in
-        loop t' (iterations + 1)
-      end
-    end
-  in
-  let levels, clean, iterations = loop t0 0 in
-  let recovered = leakage_nw t0 levels in
+  let nominal = Solution.leakage_nw p (Solution.uniform p 0) in
+  let recovered = Solution.leakage_nw p o.Refine.levels in
   {
-    levels;
-    clusters = Solution.cluster_count levels;
+    levels = o.Refine.levels;
+    clusters = Solution.cluster_count o.Refine.levels;
     nominal_leakage_nw = nominal;
     recovered_leakage_nw = recovered;
     savings_pct = Fbb_util.Stats.ratio_pct nominal recovered;
-    signoff_clean = clean;
-    iterations;
+    signoff_clean = o.Refine.signoff_clean;
+    iterations = o.Refine.iterations;
   }

@@ -6,33 +6,23 @@
     Where the FBB optimizer spends leakage to buy back timing, this one
     spends slack to buy back leakage: rows whose cells all have timing
     slack receive reverse bias (raising Vth, cutting subthreshold leakage)
-    as deep as the slack — and the BTBT floor — allows. The same cluster
-    budget, contact-cell layout and signoff refinement apply; levels here
-    index {!Fbb_tech.Bias.rbb_levels} (level 0 = NBB, level j = -j*50 mV).
+    as deep as the slack — and the BTBT floor — allows.
 
-    Constraints come from the full per-cell longest-path set (every path
-    must stay within the timing budget as its gates slow down), checked
-    incrementally and re-verified by full STA with the bias applied. *)
+    A recovery instance is an ordinary {!Problem.t}: the paper's
+    row-clustering program with [beta = 0], levels from
+    {!Fbb_tech.Bias.rbb_levels} (level 0 = NBB, level j = -j*50 mV), so
+    every level's [reduction] is [<= 0], and [required.(k) = -slack_k].
+    Timing is checked by {!Solution.Checker}, re-verified by the same
+    full-STA sign-off and refined by the same loop ({!Refine.solve}) as
+    forward bias. *)
 
-type t = {
-  placement : Fbb_place.Placement.t;
-  budget_ps : float;  (** timing budget T; paths must stay below it *)
-  levels : float array;  (** RBB voltages, [levels.(0) = 0] *)
-  slack : float array;  (** per path: T - pd, >= 0 *)
-  path_rows : (int * float) array array;  (** per path: (row, delay there) *)
-  row_paths : (int * float) array array;
-  row_leak : float array array;  (** leakage (nW) per row and level *)
-  stretch : float array;  (** per level: delay_factor - 1, >= 0 *)
-  analysis : Fbb_sta.Timing.t;  (** the nominal (NBB) STA *)
-  base_paths : Fbb_sta.Paths.path array;
-      (** [Paths.through_cell analysis] — the initial constraint set *)
-  cache : Fbb_sta.Delay_cache.t;  (** shared flat delay tables *)
-}
-
-val build : ?margin:float -> Fbb_place.Placement.t -> t
-(** Pre-process. [margin] (default 0) relaxes the budget to
-    [dcrit * (1 + margin)] — a block clocked slower than its critical
-    delay can recover more. *)
+val build : ?margin:float -> Fbb_place.Placement.t -> Problem.t
+(** [Problem.build ~levels:(rbb_levels ()) ~beta:0.0 ?margin] with a
+    shared delay cache. [margin] (default 0) relaxes the budget
+    [p.dcrit] to [Dcrit * (1 + margin)]: a block clocked slower than its
+    critical delay can recover more. Every per-cell longest path is a
+    constraint. Raises [Invalid_argument] unless [margin] is finite and
+    [>= 0]. *)
 
 type result = {
   levels : int array;  (** RBB level per row *)
@@ -44,20 +34,12 @@ type result = {
   iterations : int;
 }
 
-val optimize : ?max_clusters:int -> ?max_iterations:int -> t -> result
-(** Greedy deepening in increasing criticality order with a cluster-budget
-    merge phase (mirror image of the FBB heuristic), wrapped in the
-    signoff refinement loop. [max_clusters] defaults to 2 (NBB plus one
-    reverse rail pair). Never fails: the all-NBB assignment is always
-    feasible. *)
-
-val meets_budget : t -> int array -> bool
-(** The recovery CheckTiming: every path's stretched delay stays within
-    the budget. *)
-
-val signoff : t -> int array -> bool * Fbb_sta.Paths.path array
-(** Full STA of the placed netlist with the reverse bias applied, against
-    the budget (the recovery counterpart of {!Refine.signoff}): whether
-    every path meets it, and the per-cell longest paths that do not. *)
-
-val leakage_nw : t -> int array -> float
+val optimize : ?max_clusters:int -> ?max_iterations:int -> Problem.t -> result
+(** Greedy deepening in increasing criticality order (per-row 1/slack
+    weight over every nominal path) with a cluster-budget merge phase,
+    wrapped in {!Refine.solve} ([max_iterations] defaults to 8).
+    [max_clusters] defaults to 2 (NBB plus one reverse rail pair); raises
+    [Invalid_argument] when it is below 1. Never fails: the all-NBB
+    assignment meets any budget at or above the nominal critical delay.
+    Not the FBB {!Heuristic}: that one weights criticality per cell and
+    merges towards the deeper level. *)

@@ -22,7 +22,7 @@ type outcome = {
 val signoff :
   Problem.t -> levels:int array -> bool * Fbb_sta.Paths.path array
 (** Re-time the placed netlist under the degraded conditions with the
-    per-row bias applied, against the nominal critical delay. Returns
+    per-row bias applied, against the problem's budget [dcrit]. Returns
     whether the budget is met, and the per-cell longest paths that still
     exceed it (measured under the bias). *)
 

@@ -83,15 +83,6 @@ let through_cell t =
   Fbb_obs.Counter.add paths_c (Array.length paths);
   paths
 
-let violating_from paths ~dcrit ~beta =
-  paths
-  |> Array.to_list
-  |> List.filter (fun p -> p.delay *. (1.0 +. beta) > dcrit +. 1e-9)
-  |> Array.of_list
-
-let violating t ~beta =
-  violating_from (through_cell t) ~dcrit:(Timing.dcrit t) ~beta
-
 let delay_of t gates =
   Array.fold_left (fun acc g -> acc +. Timing.gate_delay t g) 0.0 gates
 

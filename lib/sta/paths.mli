@@ -17,16 +17,6 @@ val through_cell : Timing.t -> path array
     delay. Every combinational gate and flip-flop launch appears on at
     least one path. *)
 
-val violating : Timing.t -> beta:float -> path array
-(** The subset of {!through_cell} whose delay degraded by [(1 + beta)]
-    exceeds the analysis' [dcrit] — the candidate timing violators of
-    section 3.1 (the paper's "No.Constr" count). *)
-
-val violating_from : path array -> dcrit:float -> beta:float -> path array
-(** Same filter over an already-extracted {!through_cell} set — lets
-    repeated-evaluation loops (Monte-Carlo recovery, tuning) extract the
-    nominal path set once and re-screen it per sampled [beta]. *)
-
 val delay_of : Timing.t -> Netlist.id array -> float
 (** Recompute a gate sequence's delay under another analysis (used to
     check a path under different bias assignments). *)

@@ -1,6 +1,5 @@
 module Timing = Fbb_sta.Timing
 module P = Fbb_place.Placement
-module N = Fbb_netlist.Netlist
 
 type sensor_kind = Replica | In_situ
 
@@ -17,13 +16,6 @@ type outcome = {
   dcrit_compensated : float;
   timing_closed : bool;
 }
-
-let design_leakage nl ~bias =
-  let lib = N.library nl in
-  Array.fold_left
-    (fun acc g ->
-      acc +. Fbb_tech.Cell_library.leakage_nw lib (N.cell nl g) ~vbs:(bias g))
-    0.0 (N.gates nl)
 
 let compensations_c = Fbb_obs.Counter.make "tuning.compensations"
 

@@ -10,10 +10,6 @@
 
 type sensor_kind = Replica | In_situ
 
-val design_leakage :
-  Fbb_netlist.Netlist.t -> bias:(Fbb_netlist.Netlist.id -> float) -> float
-(** Total gate leakage (nW) under a per-gate bias assignment. *)
-
 type outcome = {
   measured_beta : float;  (** after quantization and guardband *)
   raw_beta : float;  (** sensor reading before adjustment *)

@@ -272,7 +272,7 @@ let test_recovery_valid () =
   let t = Lazy.force recovery_t in
   let r = Fbb_core.Recovery.optimize ~max_clusters:2 t in
   Alcotest.(check bool) "meets budget" true
-    (Fbb_core.Recovery.meets_budget t r.Fbb_core.Recovery.levels);
+    (Solution.meets_timing t r.Fbb_core.Recovery.levels);
   Alcotest.(check bool) "clusters within budget" true
     (r.Fbb_core.Recovery.clusters <= 2);
   Alcotest.(check bool) "recovers leakage" true
@@ -298,7 +298,7 @@ let test_recovery_zero_margin_safe () =
   let r = Fbb_core.Recovery.optimize t in
   (* With no margin the result may be all-NBB, but must never violate. *)
   Alcotest.(check bool) "meets budget" true
-    (Fbb_core.Recovery.meets_budget t r.Fbb_core.Recovery.levels);
+    (Solution.meets_timing t r.Fbb_core.Recovery.levels);
   Alcotest.(check bool) "signoff" true r.Fbb_core.Recovery.signoff_clean
 
 let test_recovery_signoff_independent () =
@@ -311,11 +311,61 @@ let test_recovery_signoff_independent () =
   let bias g =
     let row = Fbb_place.Placement.row_of pl g in
     if row < 0 then 0.0
-    else t.Fbb_core.Recovery.levels.(r.Fbb_core.Recovery.levels.(row))
+    else t.Problem.levels.(r.Fbb_core.Recovery.levels.(row))
   in
   let biased = Fbb_sta.Timing.analyze ~bias nl in
   Alcotest.(check bool) "independent signoff" true
-    (Fbb_sta.Timing.dcrit biased <= t.Fbb_core.Recovery.budget_ps +. 1e-6)
+    (Fbb_sta.Timing.dcrit biased <= t.Problem.dcrit +. 1e-6)
+
+(* c1355 at a 5 % margin and C = 2 is a recovery answer that takes a
+   second refinement iteration: the first greedy answer fails sign-off
+   and [Problem.extend] folds offenders into the reverse-level problem.
+   Levels and leakage are pinned bit for bit. *)
+let test_recovery_c1355_refined () =
+  let prep = Fbb_core.Flow.prepare (Fbb_netlist.Benchmarks.find "c1355") in
+  let p = Fbb_core.Recovery.build ~margin:0.05 prep.Fbb_core.Flow.placement in
+  let r = Fbb_core.Recovery.optimize ~max_clusters:2 p in
+  Alcotest.(check int) "two iterations" 2 r.Fbb_core.Recovery.iterations;
+  Alcotest.(check bool) "signoff clean" true r.Fbb_core.Recovery.signoff_clean;
+  Alcotest.(check (array int)) "levels"
+    [| 2; 2; 2; 2; 2; 1; 2; 2; 2; 2; 2; 2; 2 |]
+    r.Fbb_core.Recovery.levels;
+  Alcotest.(check int64) "leakage bits" 0x404ac713de637608L
+    (Int64.bits_of_float r.Fbb_core.Recovery.recovered_leakage_nw)
+
+let test_recovery_keeps_every_path () =
+  (* Reverse levels slow gates, so the forward screen (drop paths that
+     meet dcrit) is unsound: every per-cell longest path is a constraint,
+     with [required = -slack]. *)
+  let p = Lazy.force recovery_t in
+  let through = Fbb_sta.Paths.through_cell p.Problem.analysis in
+  Alcotest.(check int) "all through-cell paths" (Array.length through)
+    (Problem.num_paths p);
+  Array.iteri
+    (fun k (path : Fbb_sta.Paths.path) ->
+      Alcotest.(check bool) "same path" true
+        (path.Fbb_sta.Paths.gates = p.Problem.paths.(k).Fbb_sta.Paths.gates);
+      Alcotest.(check (float 0.0)) "required is minus the slack"
+        (-.p.Problem.nominal_slack.(k))
+        p.Problem.required.(k))
+    through
+
+let test_recovery_extend_keeps_safe_offender () =
+  (* A path that meets the budget at nominal timing can still break it
+     under reverse bias, so [extend] on a reverse-level problem must keep
+     it. Drop the shortest path, then hand it back. *)
+  let p = Lazy.force recovery_t in
+  let n = Problem.num_paths p in
+  let shortest = p.Problem.paths.(n - 1) in
+  Alcotest.(check bool) "safe at nominal" true
+    (shortest.Fbb_sta.Paths.delay < p.Problem.dcrit);
+  (* [extend] reads only [paths] of the tables; it rebuilds the rest. *)
+  let trimmed =
+    { p with Problem.paths = Array.sub p.Problem.paths 0 (n - 1) }
+  in
+  let back = Problem.extend trimmed [| shortest |] in
+  Alcotest.(check int) "offender kept" n (Problem.num_paths back);
+  Alcotest.(check (float 0.0)) "budget kept" p.Problem.dcrit back.Problem.dcrit
 
 let test_refine_signoff_direct () =
   let p = problem () in
@@ -362,8 +412,19 @@ let test_extend_empty () =
     (Problem.num_paths (Problem.extend p [||]))
 
 let test_recovery_bad_margin () =
-  Alcotest.(check bool) "negative margin rejected" true
-    (match Fbb_core.Recovery.build ~margin:(-0.1) (Lazy.force Tsupport.small_placement) with
+  let pl = Lazy.force Tsupport.small_placement in
+  List.iter
+    (fun margin ->
+      Alcotest.(check bool) (Printf.sprintf "margin %g rejected" margin) true
+        (match Fbb_core.Recovery.build ~margin pl with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ -0.1; Float.nan; Float.infinity ]
+
+let test_recovery_bad_c () =
+  let t = Lazy.force recovery_t in
+  Alcotest.(check bool) "C=0 rejected" true
+    (match Fbb_core.Recovery.optimize ~max_clusters:0 t with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -425,19 +486,23 @@ let test_recovery_empty_paths () =
   let empty =
     {
       t with
-      Fbb_core.Recovery.slack = [||];
+      Problem.paths = [||];
+      required = [||];
+      nominal_slack = [||];
       path_rows = [||];
-      row_paths = Array.map (fun _ -> [||]) t.Fbb_core.Recovery.row_paths;
+      row_paths =
+        Array.map (fun _ -> { Problem.idx = [||]; coef = [||] })
+          t.Problem.row_paths;
     }
   in
   let r = Fbb_core.Recovery.optimize ~max_iterations:3 empty in
-  let nrows = Fbb_place.Placement.num_rows t.Fbb_core.Recovery.placement in
+  let nrows = Fbb_place.Placement.num_rows t.Problem.placement in
   Alcotest.(check int) "levels per row" nrows
     (Array.length r.Fbb_core.Recovery.levels);
   Alcotest.(check bool) "terminates within the cap" true
     (r.Fbb_core.Recovery.iterations <= 3);
   Alcotest.(check bool) "empty budget trivially met" true
-    (Fbb_core.Recovery.meets_budget empty r.Fbb_core.Recovery.levels);
+    (Solution.meets_timing empty r.Fbb_core.Recovery.levels);
   Alcotest.(check bool) "recovers no more than nominal" true
     (r.Fbb_core.Recovery.recovered_leakage_nw
      <= r.Fbb_core.Recovery.nominal_leakage_nw +. 1e-9)
@@ -447,15 +512,12 @@ let test_recovery_impossible_budget () =
      all-NBB (RBB only slows things down): signoff must honestly report
      failure instead of claiming a clean result. *)
   let t = Lazy.force recovery_t in
-  let tight =
-    { t with Fbb_core.Recovery.budget_ps = t.Fbb_core.Recovery.budget_ps /. 2.0 }
-  in
+  let tight = { t with Problem.dcrit = t.Problem.dcrit /. 2.0 } in
   let r = Fbb_core.Recovery.optimize ~max_iterations:2 tight in
   Alcotest.(check bool) "signoff honestly fails" false
     r.Fbb_core.Recovery.signoff_clean;
   let clean, offenders =
-    Fbb_core.Recovery.signoff tight (Array.make
-      (Fbb_place.Placement.num_rows t.Fbb_core.Recovery.placement) 0)
+    Fbb_core.Refine.signoff tight ~levels:(Solution.uniform tight 0)
   in
   Alcotest.(check bool) "even all-NBB misses the budget" false clean;
   Alcotest.(check bool) "offenders reported" true (Array.length offenders > 0)
@@ -518,11 +580,17 @@ let suite =
     ("rbb recovery monotone in margin", `Quick, test_recovery_monotone_in_margin);
     ("rbb recovery zero margin safe", `Quick, test_recovery_zero_margin_safe);
     ("rbb recovery independent signoff", `Quick, test_recovery_signoff_independent);
+    ("rbb recovery c1355 refined", `Quick, test_recovery_c1355_refined);
+    ("rbb recovery keeps every path", `Quick, test_recovery_keeps_every_path);
+    ( "rbb recovery extend keeps safe offender",
+      `Quick,
+      test_recovery_extend_keeps_safe_offender );
     ("refine signoff direct", `Quick, test_refine_signoff_direct);
     ("refine generic solver", `Quick, test_refine_generic_solver);
     ("heuristic rejects C=0", `Quick, test_heuristic_bad_c);
     ("extend with empty set", `Quick, test_extend_empty);
     ("recovery rejects bad margin", `Quick, test_recovery_bad_margin);
+    ("recovery rejects C < 1", `Quick, test_recovery_bad_c);
     ("zero beta is trivial", `Quick, test_zero_beta);
     ("refine zero beta converges at once", `Quick, test_refine_zero_beta);
     ("refine feasible input is a no-op", `Quick, test_refine_feasible_noop);

@@ -109,7 +109,7 @@ let recovery_tests =
         let pl = Fbb_place.Placement.place ~target_rows:4 nl in
         let t = Fbb_core.Recovery.build ~margin:0.06 pl in
         let r = Fbb_core.Recovery.optimize ~max_clusters:2 t in
-        Fbb_core.Recovery.meets_budget t r.Fbb_core.Recovery.levels
+        Fbb_core.Solution.meets_timing t r.Fbb_core.Recovery.levels
         && r.Fbb_core.Recovery.clusters <= 2
         && r.Fbb_core.Recovery.recovered_leakage_nw
            <= r.Fbb_core.Recovery.nominal_leakage_nw +. 1e-9

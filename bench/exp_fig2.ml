@@ -45,7 +45,10 @@ let run () =
       let prep = Exp_common.prepare name in
       let pl = prep.Fbb_core.Flow.placement in
       let derate = make_derate (Fbb_util.Rng.split rng) pl in
-      let o = Tuning.compensate ~max_clusters:2 ~guardband:0.15 pl ~derate in
+      let o =
+        Tuning.compensate ~max_clusters:2 ~guardband:0.15
+          (Fbb_core.Problem.prepare pl) ~derate
+      in
       let vbs_cell =
         match o.Tuning.levels with
         | None -> "-"

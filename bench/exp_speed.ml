@@ -91,7 +91,7 @@ let tests () =
     Test.make ~name:"fig2 closed-loop tuning c1355"
       (Staged.stage (fun () ->
            ignore
-             (Fbb_variation.Tuning.compensate pl
+             (Fbb_variation.Tuning.compensate (Fbb_core.Problem.prepare pl)
                 ~derate:(Fbb_variation.Models.uniform 0.05))));
     Test.make ~name:"sweep incremental check-timing"
       (Staged.stage

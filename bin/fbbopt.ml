@@ -474,8 +474,8 @@ let optimize_cmd =
           else optimize d f b c r i s svg ascii)
     with
     | Ok () -> `Ok ()
-    | Error m -> `Error (false, m)
-    | exception Sys_error m -> `Error (false, m)
+    | Error m | (exception (Sys_error m | Invalid_argument m)) ->
+      `Error (false, m)
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -513,7 +513,8 @@ let tune design file rows condition magnitude seed guardband =
         (Printf.sprintf
            "unknown condition %s (slowdown|temperature|aging|process)" c)
   in
-  let o = Fbb_variation.Tuning.compensate ~guardband pl ~derate in
+  let design = Fbb_core.Problem.prepare pl in
+  let o = Fbb_variation.Tuning.compensate ~guardband design ~derate in
   Printf.printf "sensor: %d alarm(s), measured slowdown %.2f%% (raw %.2f%%)\n"
     o.Fbb_variation.Tuning.alarms_before
     (o.Fbb_variation.Tuning.measured_beta *. 100.0)
@@ -554,8 +555,8 @@ let tune_cmd =
           tune d f r c m s g)
     with
     | Ok () -> `Ok ()
-    | Error msg -> `Error (false, msg)
-    | exception Sys_error msg -> `Error (false, msg)
+    | Error msg | (exception (Sys_error msg | Invalid_argument msg)) ->
+      `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "tune" ~doc:"Closed-loop post-silicon tuning simulation")
@@ -582,7 +583,7 @@ let recover design file rows margin clusters =
   Printf.printf "clusters: %s (signoff %s)\n"
     (String.concat "/"
        (List.map
-          (fun l -> Printf.sprintf "%.2fV" p.Fbb_core.Problem.levels.(l))
+          (fun l -> Printf.sprintf "%.2fV" p.Fbb_core.Problem.design.levels.(l))
           (Fbb_core.Solution.clusters_used r.Fbb_core.Recovery.levels)))
     (if r.Fbb_core.Recovery.signoff_clean then "clean" else "NOT CLEAN");
   Ok ()

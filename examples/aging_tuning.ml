@@ -15,6 +15,7 @@ let () =
   let spec = Fbb_netlist.Benchmarks.find "c3540" in
   let prep = Fbb_core.Flow.prepare spec in
   let pl = prep.Fbb_core.Flow.placement in
+  let design = Fbb_core.Problem.prepare pl in
   let rng = Fbb_util.Rng.create ~seed:7 in
   let corner = M.spatially_correlated rng ~sigma:0.03 pl in
   let temperature = M.temperature_derate 85.0 in
@@ -34,7 +35,7 @@ let () =
       let derate =
         M.combine [ corner; (fun _ -> temperature); (fun _ -> M.nbti_aging_derate years) ]
       in
-      let o = Tuning.compensate ~max_clusters:2 ~guardband:0.2 pl ~derate in
+      let o = Tuning.compensate ~max_clusters:2 ~guardband:0.2 design ~derate in
       let vbs =
         match o.Tuning.levels with
         | None -> "-"

@@ -38,7 +38,7 @@ let () =
           Printf.sprintf "%.1f" r.Fbb_core.Recovery.savings_pct;
           String.concat "/"
             (List.map
-               (fun l -> Printf.sprintf "%.2fV" p.Fbb_core.Problem.levels.(l))
+               (fun l -> Printf.sprintf "%.2fV" p.Fbb_core.Problem.design.levels.(l))
                (Fbb_core.Solution.clusters_used r.Fbb_core.Recovery.levels));
         ])
     [ 0.0; 0.03; 0.06; 0.10; 0.15 ];

@@ -68,7 +68,7 @@ let verify p ~max_clusters levels =
     for i = 0 to Array.length rv.Problem.idx - 1 do
       achieved :=
         !achieved
-        +. (rv.Problem.coef.(i) *. p.Problem.reduction.(levels.(rv.Problem.idx.(i))))
+        +. (rv.Problem.coef.(i) *. p.Problem.design.reduction.(levels.(rv.Problem.idx.(i))))
     done;
     if !achieved < p.Problem.required.(!k) -. 1e-9 then ok := false;
     incr k
@@ -81,7 +81,7 @@ let verify p ~max_clusters levels =
 let lower_bound p =
   let acc = ref 0.0 in
   for i = 0 to Problem.num_rows p - 1 do
-    let row = p.Problem.row_leak.(i) in
+    let row = p.Problem.design.row_leak.(i) in
     let m = ref row.(0) in
     Array.iter (fun v -> if v < !m then m := v) row;
     acc := !acc +. !m

@@ -29,7 +29,7 @@ let criticality p =
       let weight = 1.0 /. (Float.max 0.0 slack +. eps) in
       Array.iter
         (fun g ->
-          let r = Fbb_place.Placement.row_of p.Problem.placement g in
+          let r = Fbb_place.Placement.row_of p.Problem.design.placement g in
           if r >= 0 then ct.(r) <- ct.(r) +. weight)
         path.Fbb_sta.Paths.gates)
     p.Problem.paths;

@@ -102,7 +102,7 @@ let formulate ~max_clusters p =
   let minimize = Array.make num_vars 0.0 in
   for i = 0 to nrows - 1 do
     for j = 0 to nlev - 1 do
-      minimize.(x i j) <- p.Problem.row_leak.(i).(j)
+      minimize.(x i j) <- p.Problem.design.row_leak.(i).(j)
     done
   done;
   let timing =
@@ -112,7 +112,7 @@ let formulate ~max_clusters p =
           |> List.concat_map (fun (r, d) ->
                  List.filter_map
                    (fun j ->
-                     let a = d *. p.Problem.reduction.(j) in
+                     let a = d *. p.Problem.design.reduction.(j) in
                      if a > 0.0 then Some (x r j, a) else None)
                    (List.init nlev (fun j -> j)))
         in
@@ -176,7 +176,7 @@ let formulate_subset p ~kept ~subset =
   let minimize = Array.make (nrows * ns) 0.0 in
   for i = 0 to nrows - 1 do
     for q = 0 to ns - 1 do
-      minimize.(x i q) <- p.Problem.row_leak.(i).(s.(q))
+      minimize.(x i q) <- p.Problem.design.row_leak.(i).(s.(q))
     done
   done;
   let timing =
@@ -187,7 +187,7 @@ let formulate_subset p ~kept ~subset =
           |> List.concat_map (fun (r, d) ->
                  List.filter_map
                    (fun q ->
-                     let a = d *. p.Problem.reduction.(s.(q)) in
+                     let a = d *. p.Problem.design.reduction.(s.(q)) in
                      if a > 0.0 then Some (x r q, a) else None)
                    (List.init ns (fun q -> q)))
         in
@@ -241,7 +241,7 @@ let optimize_enumerate config ?warm_start p ~kept =
       let lo = List.fold_left min max_int subset in
       let acc = ref 0.0 in
       for i = 0 to nrows - 1 do
-        acc := !acc +. p.Problem.row_leak.(i).(lo)
+        acc := !acc +. p.Problem.design.row_leak.(i).(lo)
       done;
       !acc
     in

@@ -6,35 +6,37 @@ module CL = Fbb_tech.Cell_library
 
 type rowvec = { idx : int array; coef : float array }
 
-type t = {
+type design = {
   placement : Placement.t;
+  cache : Fbb_sta.Delay_cache.t;
   analysis : Timing.t;
-  beta : float;
-  dcrit : float;
+  through : Paths.path array;
   levels : float array;
   reduction : float array;
   row_leak : float array array;
+}
+
+type t = {
+  design : design;
+  beta : float;
+  dcrit : float;
   paths : Paths.path array;
   required : float array;
   path_rows : rowvec array;
   row_paths : rowvec array;
   nominal_slack : float array;
-  cache : Fbb_sta.Delay_cache.t option;
 }
 
-let num_rows t = Placement.num_rows t.placement
-let num_levels t = Array.length t.levels
+let num_rows t = Placement.num_rows t.design.placement
+let num_levels t = Array.length t.design.levels
 let num_paths t = Array.length t.paths
 
 (* Per-(row, level) leakage tables: one device-model evaluation per
    level, then a multiply per gate ([leakage_nw] is
    [leak_nw * leakage_factor], so the fold adds the same products in the
-   same order as the per-gate walk it replaces). Die-independent, so
-   repeated-build loops compute them once and pass them back in. *)
-let leak_tables placement ~levels =
+   same order as the per-gate walk it replaces). *)
+let leak_tables placement ~device ~levels =
   let nl = Placement.netlist placement in
-  let lib = Fbb_netlist.Netlist.library nl in
-  let device = CL.device lib in
   let leak_f =
     Array.map (fun vbs -> Device.leakage_factor device ~vbs) levels
   in
@@ -48,6 +50,26 @@ let leak_tables placement ~levels =
             0.0 gates)
         leak_f)
 
+let prepare ?levels placement =
+  Fbb_obs.Span.with_ ~name:"problem.prepare" @@ fun () ->
+  let levels = Option.value levels ~default:(Fbb_tech.Bias.levels ()) in
+  if Array.length levels = 0 || levels.(0) <> 0.0 then
+    invalid_arg "Problem.prepare: levels must start at 0 (no body bias)";
+  let nl = Placement.netlist placement in
+  let device = CL.device (Fbb_netlist.Netlist.library nl) in
+  let cache = Fbb_sta.Delay_cache.create nl in
+  let analysis = Timing.analyze ~cache nl in
+  {
+    placement;
+    cache;
+    analysis;
+    through = Paths.through_cell analysis;
+    levels;
+    reduction =
+      Array.map (fun vbs -> 1.0 -. Device.delay_factor device ~vbs) levels;
+    row_leak = leak_tables placement ~device ~levels;
+  }
+
 (* The Pi screen, decided once per level set. When no level slows a gate
    (every reduction >= 0), a path whose degraded delay already meets
    [dcrit] can never violate and is dropped. A reverse level (negative
@@ -58,15 +80,11 @@ let screen ~reduction ~beta ~dcrit =
 
 (* All per-path tables are derived from the nominal analysis: a path's
    degraded delay is its nominal delay times (1 + beta), and body bias
-   scales every gate delay by the same level-dependent factor. *)
-let assemble ~placement ~analysis ~cache ~row_leak ~beta ~dcrit ~levels
-    ~reduction paths =
+   scales every gate delay by the same level-dependent factor. The one
+   assembler behind [pose], [extend] and [select]. *)
+let assemble d ~beta ~dcrit paths =
+  let placement = d.placement in
   let nrows = Placement.num_rows placement in
-  let row_leak =
-    match row_leak with
-    | Some tables -> tables
-    | None -> leak_tables placement ~levels
-  in
   let required =
     Array.map (fun p -> (p.Paths.delay *. (1.0 +. beta)) -. dcrit) paths
   in
@@ -86,13 +104,13 @@ let assemble ~placement ~analysis ~cache ~row_leak ~beta ~dcrit ~levels
           (fun g ->
             let r = Placement.row_of placement g in
             if r >= 0 then begin
-              let d = Timing.gate_delay analysis g *. (1.0 +. beta) in
+              let delay = Timing.gate_delay d.analysis g *. (1.0 +. beta) in
               if not seen.(r) then begin
                 seen.(r) <- true;
                 touched.(!k) <- r;
                 incr k
               end;
-              scratch.(r) <- d +. scratch.(r)
+              scratch.(r) <- delay +. scratch.(r)
             end)
           p.Paths.gates;
         let rows = Array.sub touched 0 !k in
@@ -132,62 +150,34 @@ let assemble ~placement ~analysis ~cache ~row_leak ~beta ~dcrit ~levels
     out
   in
   {
-    placement;
-    analysis;
+    design = d;
     beta;
     dcrit;
-    levels;
-    reduction;
-    row_leak;
     paths;
     required;
     path_rows;
     row_paths;
     nominal_slack;
-    cache;
   }
 
-let build ?cache ?analysis ?paths ?row_leak ?levels ?(margin = 0.0) ~beta
-    placement =
+let pose ?(margin = 0.0) ~beta d =
   Fbb_obs.Span.with_ ~name:"problem.build" @@ fun () ->
+  if not (Float.is_finite beta && beta >= 0.0) then
+    invalid_arg "Problem.pose: beta must be finite and >= 0";
   if not (Float.is_finite margin && margin >= 0.0) then
-    invalid_arg "Problem.build: margin must be finite and >= 0";
-  let levels =
-    match levels with Some l -> l | None -> Fbb_tech.Bias.levels ()
-  in
-  if Array.length levels = 0 || levels.(0) <> 0.0 then
-    invalid_arg "Problem.build: levels must start at 0 (no body bias)";
-  let nl = Placement.netlist placement in
-  (match cache with
-  | Some c when not (Fbb_sta.Delay_cache.netlist c == nl) ->
-    invalid_arg "Problem.build: delay cache is for a different netlist"
-  | Some _ | None -> ());
-  let analysis =
-    match analysis with
-    | Some a ->
-      if not (Timing.netlist a == nl) then
-        invalid_arg "Problem.build: analysis is for a different netlist";
-      a
-    | None -> Timing.analyze ?cache nl
-  in
-  let dcrit = Timing.dcrit analysis *. (1.0 +. margin) in
-  let device = CL.device (Fbb_netlist.Netlist.library nl) in
-  let reduction =
-    Array.map (fun vbs -> 1.0 -. Device.delay_factor device ~vbs) levels
-  in
-  let keep = screen ~reduction ~beta ~dcrit in
-  let through =
-    match paths with Some p -> p | None -> Paths.through_cell analysis
-  in
-  let paths =
-    Array.of_list
-      (List.filter (fun p -> keep p.Paths.delay) (Array.to_list through))
-  in
-  assemble ~placement ~analysis ~cache ~row_leak ~beta ~dcrit ~levels
-    ~reduction paths
+    invalid_arg "Problem.pose: margin must be finite and >= 0";
+  let dcrit = Timing.dcrit d.analysis *. (1.0 +. margin) in
+  let keep = screen ~reduction:d.reduction ~beta ~dcrit in
+  assemble d ~beta ~dcrit
+    (Array.of_list
+       (List.filter (fun p -> keep p.Paths.delay) (Array.to_list d.through)))
+
+let build ?levels ?margin ~beta placement =
+  pose ?margin ~beta (prepare ?levels placement)
 
 let extend t extra =
-  let keep = screen ~reduction:t.reduction ~beta:t.beta ~dcrit:t.dcrit in
+  let d = t.design in
+  let keep = screen ~reduction:d.reduction ~beta:t.beta ~dcrit:t.dcrit in
   let seen = Hashtbl.create (Array.length t.paths * 2) in
   Array.iter (fun p -> Hashtbl.replace seen p.Paths.gates ()) t.paths;
   let fresh =
@@ -198,16 +188,19 @@ let extend t extra =
              Hashtbl.replace seen p.Paths.gates ();
              (* Recompute the delay under the nominal analysis: callers may
                 hand us paths measured under bias. *)
-             let delay = Paths.delay_of t.analysis p.Paths.gates in
+             let delay = Paths.delay_of d.analysis p.Paths.gates in
              if keep delay then Some { Paths.gates = p.Paths.gates; delay }
              else None
            end)
   in
   if fresh = [] then t
   else
-    assemble ~placement:t.placement ~analysis:t.analysis ~cache:t.cache
-      ~row_leak:(Some t.row_leak) ~beta:t.beta ~dcrit:t.dcrit ~levels:t.levels
-      ~reduction:t.reduction (Array.append t.paths (Array.of_list fresh))
+    assemble d ~beta:t.beta ~dcrit:t.dcrit
+      (Array.append t.paths (Array.of_list fresh))
+
+let select t kept =
+  assemble t.design ~beta:t.beta ~dcrit:t.dcrit
+    (Array.map (fun k -> t.paths.(k)) kept)
 
 let coefficient t ~path ~row ~level =
   let rows = t.path_rows.(path) in
@@ -216,7 +209,7 @@ let coefficient t ~path ~row ~level =
     else
       let mid = (lo + hi) / 2 in
       let r = rows.idx.(mid) in
-      if r = row then rows.coef.(mid) *. t.reduction.(level)
+      if r = row then rows.coef.(mid) *. t.design.reduction.(level)
       else if r < row then find (mid + 1) hi
       else find lo (mid - 1)
   in
@@ -224,9 +217,10 @@ let coefficient t ~path ~row ~level =
 
 let achieved t ~levels ~path =
   let rows = t.path_rows.(path) in
+  let reduction = t.design.reduction in
   let acc = ref 0.0 in
   for i = 0 to Array.length rows.idx - 1 do
-    acc := !acc +. (rows.coef.(i) *. t.reduction.(levels.(rows.idx.(i))))
+    acc := !acc +. (rows.coef.(i) *. reduction.(levels.(rows.idx.(i))))
   done;
   !acc
 
@@ -251,11 +245,12 @@ let max_single_level t =
   in
   search 0
 
-let row_leakage t ~row ~level = t.row_leak.(row).(level)
+let row_leakage t ~row ~level = t.design.row_leak.(row).(level)
 
 let total_leakage t ~levels =
+  let row_leak = t.design.row_leak in
   let acc = ref 0.0 in
-  Array.iteri (fun r j -> acc := !acc +. t.row_leak.(r).(j)) levels;
+  Array.iteri (fun r j -> acc := !acc +. row_leak.(r).(j)) levels;
   !acc
 
 let pp_summary fmt t =

@@ -1,7 +1,11 @@
 (** The row-clustering FBB allocation problem (paper section 4.1).
 
-    Pre-processing a placed design against a slowdown coefficient [beta]
-    produces everything both optimizers consume:
+    Pre-processing runs in two steps, split where the paper's flow
+    splits design time from run time: {!prepare} computes once per
+    placement everything that does not depend on [beta] (nominal STA,
+    per-cell longest paths, per-level reductions and row leakage), and
+    {!pose} turns that {!design} and a slowdown coefficient [beta] into
+    everything both optimizers consume:
 
     - the critical path set Pi — the pruned per-cell longest paths whose
       degraded delay [pd * (1 + beta)] exceeds [Dcrit]. That screen is
@@ -24,18 +28,35 @@ type rowvec = { idx : int array; coef : float array }
     belongs to index [idx.(i)], [idx] ascending. Parallel flat arrays
     keep the float payload unboxed in the optimizer inner loops. *)
 
-type t = {
+type design = {
   placement : Fbb_place.Placement.t;
-  analysis : Fbb_sta.Timing.t;  (** the nominal STA the tables came from *)
-  beta : float;
-  dcrit : float;
-      (** timing budget, ps: the nominal critical delay times
-          [1 + margin] (see {!build}) *)
+  cache : Fbb_sta.Delay_cache.t;
+      (** the placement's flat delay/leakage tables; {!Refine} and
+          {!Fbb_variation.Tuning} build their incremental STA contexts
+          on it *)
+  analysis : Fbb_sta.Timing.t;  (** the nominal STA *)
+  through : Fbb_sta.Paths.path array;
+      (** the unscreened per-cell longest paths of [analysis] *)
   levels : float array;  (** generator voltages, ascending, [levels.(0) = 0] *)
   reduction : float array;
       (** per level: fractional delay reduction [1 - delay_factor];
           negative for reverse levels *)
   row_leak : float array array;  (** [row_leak.(i).(j)]: leakage in nW *)
+}
+(** The design-time half of the program: everything about a placed
+    design that does not depend on [beta] (the paper's Fig. 2 computes it
+    once, before any sensor reading). Immutable and closure-free, so one
+    design is shared by every {!pose} on it — across requests, dies and
+    pool domains — and marshals as plain data. A plain record, not a
+    private one: the oracle's leakage-scale check rebuilds one with a
+    scaled [row_leak]. *)
+
+type t = {
+  design : design;  (** the design the tables were posed on *)
+  beta : float;
+  dcrit : float;
+      (** timing budget, ps: the nominal critical delay times
+          [1 + margin] (see {!pose}) *)
   paths : Fbb_sta.Paths.path array;  (** the constraint set Pi *)
   required : float array;
       (** [b_k = pd*(1+beta) - dcrit] in ps: positive on screened forward
@@ -45,42 +66,25 @@ type t = {
       (** per path: degraded delay of the path's cells per row *)
   row_paths : rowvec array;  (** transpose of [path_rows] *)
   nominal_slack : float array;  (** per path: [dcrit - pd], ps *)
-  cache : Fbb_sta.Delay_cache.t option;
-      (** the shared delay cache handed to {!build}, if any; consumers
-          ({!Refine}) reuse it for incremental sign-off contexts *)
 }
 
-val leak_tables :
-  Fbb_place.Placement.t -> levels:float array -> float array array
-(** The [row_leak] table for a placement and level set. Die-independent:
-    repeated-build loops compute it once and pass it to {!build} via
-    [row_leak]. *)
+val prepare : ?levels:float array -> Fbb_place.Placement.t -> design
+(** Runs nominal STA on a shared delay cache, extracts the per-cell
+    longest paths and tabulates per-level reductions and row leakage.
+    [levels] defaults to the 11 generator voltages. Raises
+    [Invalid_argument] unless [levels.(0) = 0]. *)
 
-val build :
-  ?cache:Fbb_sta.Delay_cache.t ->
-  ?analysis:Fbb_sta.Timing.t ->
-  ?paths:Fbb_sta.Paths.path array ->
-  ?row_leak:float array array ->
-  ?levels:float array ->
-  ?margin:float ->
-  beta:float ->
-  Fbb_place.Placement.t ->
-  t
-(** Runs nominal STA, extracts and prunes the path set, and assembles all
-    coefficient tables. [levels] defaults to the 11 generator voltages.
+val pose : ?margin:float -> beta:float -> design -> t
+(** Screens Pi against [beta] and assembles the coefficient tables.
     [margin] (default 0) sets the budget [dcrit] to the nominal critical
     delay times [1 + margin]; [margin = 0] is the paper's spec exactly.
-    Raises [Invalid_argument] unless [margin] is finite and [>= 0].
+    Raises [Invalid_argument] unless [beta] and [margin] are finite and
+    [>= 0]. Reads the design only, so any number of poses, sequential or
+    from pool domains, may share one. *)
 
-    Repeated-build loops (Monte-Carlo recovery samples the same design at
-    many [beta]s) can skip the per-build STA, extraction and leakage
-    walks: [analysis] supplies a precomputed nominal analysis of the
-    placement's netlist, [paths] a pre-extracted [Paths.through_cell] set
-    of that analysis (re-screened here against [beta]), [row_leak] the
-    {!leak_tables} of the same placement and [levels], and [cache] a
-    shared {!Fbb_sta.Delay_cache} (used directly when [analysis] is
-    absent, and carried in the problem either way). Results are
-    bit-identical with or without them. *)
+val build :
+  ?levels:float array -> ?margin:float -> beta:float -> Fbb_place.Placement.t -> t
+(** [pose ?margin ~beta (prepare ?levels placement)]. *)
 
 val num_rows : t -> int
 val num_levels : t -> int
@@ -106,6 +110,12 @@ val extend : t -> Fbb_sta.Paths.path array -> t
     {!build}, are dropped; the budget [dcrit] is kept. Used by the
     {!Refine} loop when signoff finds a violating path outside the
     original per-cell longest set. *)
+
+val select : t -> int array -> t
+(** [select t kept] keeps the constraints [kept] (path indices into
+    [t.paths]): path [k] of the result is [t.paths.(kept.(k))], with the
+    same design, [beta] and [dcrit]. Selecting every index in order gives
+    back [t]'s tables. *)
 
 val row_leakage : t -> row:int -> level:int -> float
 val total_leakage : t -> levels:int array -> float

@@ -1,7 +1,6 @@
 let build ?margin placement =
-  let nl = Fbb_place.Placement.netlist placement in
-  Problem.build ~cache:(Fbb_sta.Delay_cache.create nl)
-    ~levels:(Fbb_tech.Bias.rbb_levels ()) ~beta:0.0 ?margin placement
+  Problem.build ~levels:(Fbb_tech.Bias.rbb_levels ()) ~beta:0.0 ?margin
+    placement
 
 type result = {
   levels : int array;
@@ -39,11 +38,10 @@ let rec shrink (p : Problem.t) ~max_clusters levels =
     (* used is ascending; merging (shallow, deep) moves deep rows to the
        shallow level. *)
     let cost lo hi =
-      let acc = ref 0.0 in
+      let acc = ref 0.0 and leak = p.design.row_leak in
       Array.iteri
         (fun r l ->
-          if l = hi then
-            acc := !acc +. p.row_leak.(r).(lo) -. p.row_leak.(r).(hi))
+          if l = hi then acc := !acc +. leak.(r).(lo) -. leak.(r).(hi))
         levels;
       !acc
     in

@@ -17,8 +17,7 @@
     forward bias. *)
 
 val build : ?margin:float -> Fbb_place.Placement.t -> Problem.t
-(** [Problem.build ~levels:(rbb_levels ()) ~beta:0.0 ?margin] with a
-    shared delay cache. [margin] (default 0) relaxes the budget
+(** [Problem.build ~levels:(rbb_levels ()) ~beta:0.0 ?margin]. [margin] (default 0) relaxes the budget
     [p.dcrit] to [Dcrit * (1 + margin)]: a block clocked slower than its
     critical delay can recover more. Every per-cell longest path is a
     constraint. Raises [Invalid_argument] unless [margin] is finite and

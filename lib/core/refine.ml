@@ -14,9 +14,9 @@ let iterations_c = Fbb_obs.Counter.make "refine.iterations"
 let constraints_added_c = Fbb_obs.Counter.make "refine.constraints_added"
 
 let row_bias p levels g =
-  let placement = p.Problem.placement in
+  let placement = p.Problem.design.placement in
   let r = Placement.row_of placement g in
-  if r < 0 then 0.0 else p.Problem.levels.(levels.(r))
+  if r < 0 then 0.0 else p.Problem.design.levels.(levels.(r))
 
 (* The biased dcrit is the maximum per-cell longest-path delay (the
    critical path is the through-cell path of its own cells), so a
@@ -36,7 +36,7 @@ let offenders_of p biased =
 
 let signoff p ~levels =
   Fbb_obs.Span.with_ ~name:"refine.signoff" @@ fun () ->
-  let nl = Placement.netlist p.Problem.placement in
+  let nl = Placement.netlist p.Problem.design.placement in
   let beta = p.Problem.beta in
   let biased =
     Timing.analyze ~derate:(fun _ -> 1.0 +. beta) ~bias:(row_bias p levels) nl
@@ -52,16 +52,15 @@ let signoff_incr ctx p ~levels =
 
 let solve ?(max_iterations = 10) ~solver p0 =
   Fbb_obs.Span.with_ ~name:"refine.solve" @@ fun () ->
-  (* One context for the whole loop: [extend] keeps the placement, beta
-     and netlist, so the frozen derate stays valid across iterations.
-     The problem's delay cache (when its builder shared one) spares a
-     fresh table build here. *)
+  (* One context for the whole loop: [extend] keeps the design and beta,
+     so the frozen derate stays valid across iterations. The design's
+     delay cache spares a fresh table build here. *)
   let ctx =
     lazy
       (let beta = p0.Problem.beta in
-       Timing.Incremental.create ?cache:p0.Problem.cache
+       Timing.Incremental.create ~cache:p0.Problem.design.cache
          ~derate:(fun _ -> 1.0 +. beta)
-         (Placement.netlist p0.Problem.placement))
+         (Placement.netlist p0.Problem.design.placement))
   in
   let rec loop p iterations added last =
     Fbb_obs.Counter.incr iterations_c;

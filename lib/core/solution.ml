@@ -70,9 +70,8 @@ module Checker = struct
     if old_level <> level then begin
       Fbb_obs.Counter.incr updates_c;
       let p = t.problem in
-      let delta =
-        p.Problem.reduction.(level) -. p.Problem.reduction.(old_level)
-      in
+      let reduction = p.Problem.design.reduction in
+      let delta = reduction.(level) -. reduction.(old_level) in
       let rp = p.Problem.row_paths.(row) in
       for i = 0 to Array.length rp.Problem.idx - 1 do
         let k = rp.Problem.idx.(i) in

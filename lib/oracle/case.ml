@@ -39,43 +39,7 @@ let truncate_paths p n =
       order;
     let kept = Array.sub order 0 n in
     Array.sort compare kept;
-    let take a = Array.map (fun k -> a.(k)) kept in
-    let path_rows = take p.Problem.path_rows in
-    let row_paths =
-      let nrows = Problem.num_rows p in
-      let counts = Array.make nrows 0 in
-      Array.iter
-        (fun rv ->
-          Array.iter (fun r -> counts.(r) <- counts.(r) + 1) rv.Problem.idx)
-        path_rows;
-      let out =
-        Array.init nrows (fun r ->
-            {
-              Problem.idx = Array.make counts.(r) 0;
-              coef = Array.make counts.(r) 0.0;
-            })
-      in
-      let fill = Array.make nrows 0 in
-      Array.iteri
-        (fun k rv ->
-          Array.iteri
-            (fun i r ->
-              let o = out.(r) in
-              o.Problem.idx.(fill.(r)) <- k;
-              o.Problem.coef.(fill.(r)) <- rv.Problem.coef.(i);
-              fill.(r) <- fill.(r) + 1)
-            rv.Problem.idx)
-        path_rows;
-      out
-    in
-    {
-      p with
-      Problem.paths = take p.Problem.paths;
-      required = take p.Problem.required;
-      nominal_slack = take p.Problem.nominal_slack;
-      path_rows;
-      row_paths;
-    }
+    Problem.select p kept
   end
 
 let build c =

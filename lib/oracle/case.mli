@@ -40,8 +40,9 @@ val build : t -> Fbb_core.Problem.t
     case: equal cases build identical problems. *)
 
 val truncate_paths : Fbb_core.Problem.t -> int -> Fbb_core.Problem.t
-(** Keep only the [n] constraints with the largest required reduction
-    (no-op when the problem is already smaller). Used by [build] for
+(** Keep only the [n] constraints with the largest required reduction,
+    in their original order, via {!Fbb_core.Problem.select} (no-op when
+    the problem is already smaller). Used by [build] for
     [max_paths] and by the metamorphic re-builds, which must cap the
     transformed problem the same way. *)
 

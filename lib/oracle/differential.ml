@@ -303,8 +303,8 @@ let run ?(metamorphic = true) ?(ilp_seconds = 30.0) case =
       let perm = Array.init nrows (fun i -> (i + 1) mod nrows) in
       let permuted =
         retruncate
-          (Problem.build ~levels:p.Problem.levels ~beta:case.Case.beta
-             (Fbb_place.Placement.permute_rows p.Problem.placement perm))
+          (Problem.build ~levels:p.Problem.design.levels ~beta:case.Case.beta
+             (Fbb_place.Placement.permute_rows p.Problem.design.placement perm))
       in
       (match oracle_of ~max_clusters:c permuted with
       | Some (Oracle.Optimal opt') ->
@@ -341,11 +341,15 @@ let run ?(metamorphic = true) ?(ilp_seconds = 30.0) case =
          other way — but whatever the scaled oracle picks must still be
          an optimum of the original problem. *)
       let scale = 1.75 in
+      let d = p.Problem.design in
       let scaled =
         {
           p with
-          Problem.row_leak =
-            Array.map (Array.map (fun v -> v *. scale)) p.Problem.row_leak;
+          Problem.design =
+            {
+              d with
+              row_leak = Array.map (Array.map (fun v -> v *. scale)) d.row_leak;
+            };
         }
       in
       (match oracle_of ~max_clusters:c scaled with

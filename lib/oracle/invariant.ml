@@ -31,13 +31,13 @@ let check ?(max_clusters = 2) ?reported_leakage_nw p ~levels =
       (* Timing, re-derived from the nominal analysis: for each constraint
          path, sum each gate's degraded delay into its row, then apply the
          device's level speed-up directly. *)
-      let placement = p.Problem.placement in
-      let analysis = p.Problem.analysis in
+      let placement = p.Problem.design.placement in
+      let analysis = p.Problem.design.analysis in
       let nl = Placement.netlist placement in
       let lib = Fbb_netlist.Netlist.library nl in
       let device = CL.device lib in
       let reduction_of j =
-        1.0 -. Device.delay_factor device ~vbs:p.Problem.levels.(j)
+        1.0 -. Device.delay_factor device ~vbs:p.Problem.design.levels.(j)
       in
       let reduction = Array.init nlev reduction_of in
       Array.iteri
@@ -72,7 +72,7 @@ let check ?(max_clusters = 2) ?reported_leakage_nw p ~levels =
               !direct
               +. CL.leakage_nw lib
                    (Fbb_netlist.Netlist.cell nl g)
-                   ~vbs:p.Problem.levels.(levels.(r)))
+                   ~vbs:p.Problem.design.levels.(levels.(r)))
         (Fbb_netlist.Netlist.gates nl);
       let table = Fbb_core.Solution.leakage_nw p levels in
       if not (close !direct table) then
@@ -89,12 +89,12 @@ let check ?(max_clusters = 2) ?reported_leakage_nw p ~levels =
   List.rev !failures
 
 let signoff p ~levels =
-  let placement = p.Problem.placement in
+  let placement = p.Problem.design.placement in
   let nl = Placement.netlist placement in
   let beta = p.Problem.beta in
   let bias g =
     let r = Placement.row_of placement g in
-    if r < 0 then 0.0 else p.Problem.levels.(levels.(r))
+    if r < 0 then 0.0 else p.Problem.design.levels.(levels.(r))
   in
   (* Deliberately routed through the incremental engine (base analysis
      at NBB, then one batch edit to the assignment): every fuzz case

@@ -56,7 +56,7 @@ let feasible p assignment =
       achieved :=
         !achieved
         +. rv.Problem.coef.(i)
-           *. p.Problem.reduction.(assignment.(rv.Problem.idx.(i)))
+           *. p.Problem.design.reduction.(assignment.(rv.Problem.idx.(i)))
     done;
     if !achieved < p.Problem.required.(!k) -. 1e-9 then ok := false;
     incr k
@@ -66,7 +66,7 @@ let feasible p assignment =
 let leakage p assignment =
   let acc = ref 0.0 in
   Array.iteri
-    (fun r j -> acc := !acc +. p.Problem.row_leak.(r).(j))
+    (fun r j -> acc := !acc +. p.Problem.design.row_leak.(r).(j))
     assignment;
   !acc
 

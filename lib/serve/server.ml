@@ -201,28 +201,18 @@ let respond conn resp =
 
 (* ----- prepared problem contexts ---------------------------------------- *)
 
-(* Everything about a netlist that every request for it re-uses: the
-   placement, the flat delay/leakage tables, the nominal analysis, the
-   extracted per-cell longest path set and the per-row leakage tables.
-   [Problem.build] with these in hand skips STA, extraction and the
-   leakage walks — the same amortization Monte-Carlo uses per die —
-   and documents the results as bit-identical with or without them. *)
-type prepared = {
-  placement : Fbb_place.Placement.t;
-  cache : Fbb_sta.Delay_cache.t;
-  analysis : Fbb_sta.Timing.t;
-  paths : Fbb_sta.Paths.path array;
-  row_leak : float array array;
-}
+(* A prepared context is the workload's {!Fbb_core.Problem.design}: a
+   request is [Problem.pose ~beta] on it. The design is closure-free
+   plain data ([Timing.analyze] forces its requireds with
+   [Lazy.from_val]), so strict Marshal works and would fail loudly if a
+   closure ever crept in. The payload bytes double as the context's
+   fingerprint: construction is deterministic, so two scratch builds of
+   the same workload marshal bit-identically, which is exactly what the
+   store signoff checks. *)
+let prepared_to_payload (d : Fbb_core.Problem.design) = Marshal.to_string d []
 
-(* A prepared context is closure-free plain data ([Timing.analyze]
-   forces its requireds with [Lazy.from_val]), so strict Marshal works
-   and would fail loudly if a closure ever crept in. The payload bytes
-   double as the context's fingerprint: construction is deterministic,
-   so two scratch builds of the same workload marshal bit-identically,
-   which is exactly what the store signoff checks. *)
-let prepared_to_payload (p : prepared) = Marshal.to_string p []
-let prepared_of_payload (s : string) : prepared = Marshal.from_string s 0
+let prepared_of_payload (s : string) : Fbb_core.Problem.design =
+  Marshal.from_string s 0
 
 let build_placement = function
   | P.Benchmark name ->
@@ -236,15 +226,7 @@ let build_placement = function
 let prepare workload =
   Span.with_ ~name:"serve.prepare" @@ fun () ->
   Counter.incr (Lazy.force c_prepares);
-  let placement = build_placement workload in
-  let nl = Fbb_place.Placement.netlist placement in
-  let cache = Fbb_sta.Delay_cache.create nl in
-  let analysis = Fbb_sta.Timing.analyze ~cache nl in
-  let paths = Fbb_sta.Paths.through_cell analysis in
-  let row_leak =
-    Fbb_core.Problem.leak_tables placement ~levels:(Fbb_tech.Bias.levels ())
-  in
-  { placement; cache; analysis; paths; row_leak }
+  Fbb_core.Problem.prepare (build_placement workload)
 
 (* ----- server state ----------------------------------------------------- *)
 
@@ -297,7 +279,7 @@ type t = {
   mutable store_load_ok : bool;  (* false after a failed signoff *)
   mutable signoff_armed : bool;  (* first load per daemon arms one check *)
   mutable signoff_pending : (string * Digest.t) option;
-  prepared : (string, prepared) Hashtbl.t;
+  prepared : (string, Fbb_core.Problem.design) Hashtbl.t;
   mutable lru : string list;  (* most recent first *)
   next_cid : int Atomic.t;
   mutable conns : conn list;
@@ -654,11 +636,8 @@ let solve_one t gen prep (job : job) =
     Fbb_obs.Context.with_ (Fbb_obs.Context.make ?trace ()) @@ fun () ->
     Span.with_ ~name:"serve.request" @@ fun () ->
     match
-      let problem =
-        Fbb_core.Problem.build ~cache:prep.cache ~analysis:prep.analysis
-          ~paths:prep.paths ~row_leak:prep.row_leak ~beta:s.beta prep.placement
-      in
-      Fbb_core.Cascade.solve ~max_clusters:s.max_clusters ~budget problem
+      Fbb_core.Cascade.solve ~max_clusters:s.max_clusters ~budget
+        (Fbb_core.Problem.pose ~beta:s.beta prep)
     with
     | exception exn ->
       (* The cascade already contains stage crashes; anything escaping

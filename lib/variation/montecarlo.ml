@@ -45,16 +45,11 @@ let run ?(seed = 2009) ?(samples = 50) ?(sigma = 0.05) ?(max_clusters = 2)
   Fbb_obs.Span.with_ ~name:"mc.run" @@ fun () ->
   let nl = P.netlist placement in
   let rng = Fbb_util.Rng.create ~seed in
-  (* Shared per-run state, all immutable: the flat delay tables, the
-     nominal analysis and its path set (so per-die problem builds skip
-     STA and extraction), and the NBB leakage every die would otherwise
-     recompute. Safe across pool domains. *)
-  let cache = Fbb_sta.Delay_cache.create nl in
-  let nominal = Timing.analyze ~cache nl in
-  let through = Fbb_sta.Paths.through_cell nominal in
-  let row_leak =
-    Fbb_core.Problem.leak_tables placement ~levels:(Fbb_tech.Bias.levels ())
-  in
+  (* Shared per-run state, all immutable and safe across pool domains:
+     the prepared design every die poses its problems on, and the NBB
+     leakage every die would otherwise recompute. *)
+  let design = Fbb_core.Problem.prepare placement in
+  let cache = design.cache and nominal = design.analysis in
   let timing_budget = Timing.dcrit nominal +. 1e-6 in
   let leakage ~bias = Fbb_sta.Delay_cache.design_leakage cache ~bias in
   let nbb_leakage = leakage ~bias:(fun _ -> 0.0) in
@@ -94,8 +89,7 @@ let run ?(seed = 2009) ?(samples = 50) ?(sigma = 0.05) ?(max_clusters = 2)
       if measured <= 0.0 then Some 0
       else
         Fbb_core.Problem.max_single_level
-          (Fbb_core.Problem.build ~cache ~analysis:nominal ~paths:through
-             ~row_leak ~beta:measured placement)
+          (Fbb_core.Problem.pose ~beta:measured design)
     in
     let ship_single =
       Option.bind jopt (fun j0 ->
@@ -114,8 +108,7 @@ let run ?(seed = 2009) ?(samples = 50) ?(sigma = 0.05) ?(max_clusters = 2)
     in
     (* Strategy 3: the clustering optimizer in its closed loop. *)
     let o =
-      Tuning.compensate ~max_clusters ~guardband ~nominal ~paths:through
-        ~row_leak ~ctx placement ~derate
+      Tuning.compensate ~max_clusters ~guardband ~ctx design ~derate
     in
     let ship_clustered =
       if o.Tuning.timing_closed then begin

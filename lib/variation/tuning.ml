@@ -20,9 +20,12 @@ type outcome = {
 let compensations_c = Fbb_obs.Counter.make "tuning.compensations"
 
 let compensate ?(max_clusters = 2) ?(sensor = In_situ) ?(guardband = 0.1)
-    ?(resolution = 0.01) ?nominal ?paths ?row_leak ?ctx placement ~derate =
+    ?(resolution = 0.01) ?ctx (design : Fbb_core.Problem.design) ~derate =
   Fbb_obs.Span.with_ ~name:"tuning.compensate" @@ fun () ->
+  if not (Float.is_finite guardband) then
+    invalid_arg "Tuning.compensate: guardband must be finite";
   Fbb_obs.Counter.incr compensations_c;
+  let { Fbb_core.Problem.placement; cache; analysis = nominal; _ } = design in
   let nl = P.netlist placement in
   let ctx =
     match ctx with
@@ -30,11 +33,7 @@ let compensate ?(max_clusters = 2) ?(sensor = In_situ) ?(guardband = 0.1)
       if not (Timing.Incremental.netlist c == nl) then
         invalid_arg "Tuning.compensate: context is for a different netlist";
       c
-    | None -> Timing.Incremental.create ~derate nl
-  in
-  let cache = Timing.Incremental.cache ctx in
-  let nominal =
-    match nominal with Some a -> a | None -> Timing.analyze ~cache nl
+    | None -> Timing.Incremental.create ~cache ~derate nl
   in
   (* The context may arrive with bias applied (e.g. the Monte-Carlo
      single-level search just drove it); reset to NBB to read the
@@ -70,11 +69,10 @@ let compensate ?(max_clusters = 2) ?(sensor = In_situ) ?(guardband = 0.1)
   in
   if measured_beta <= 0.0 then no_compensation ()
   else begin
-    let problem =
-      Fbb_core.Problem.build ~cache ~analysis:nominal ?paths ?row_leak
-        ~beta:measured_beta placement
-    in
-    match Fbb_core.Refine.heuristic ~max_clusters problem with
+    match
+      Fbb_core.Refine.heuristic ~max_clusters
+        (Fbb_core.Problem.pose ~beta:measured_beta design)
+    with
     | None ->
       (* Compensation impossible even at full bias. *)
       { (no_compensation ()) with levels = None; timing_closed = false }

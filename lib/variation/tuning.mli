@@ -31,24 +31,20 @@ val compensate :
   ?sensor:sensor_kind ->
   ?guardband:float ->
   ?resolution:float ->
-  ?nominal:Fbb_sta.Timing.t ->
-  ?paths:Fbb_sta.Paths.path array ->
-  ?row_leak:float array array ->
   ?ctx:Fbb_sta.Timing.Incremental.ctx ->
-  Fbb_place.Placement.t ->
+  Fbb_core.Problem.design ->
   derate:(Fbb_netlist.Netlist.id -> float) ->
   outcome
-(** One tuning shot. [guardband] (default 0.1) inflates the measured
-    slowdown to cover sensing error and non-uniformity; [resolution]
-    (default 0.01) quantizes the sensor reading; [sensor] defaults to
-    [In_situ].
+(** One tuning shot on a prepared design ({!Fbb_core.Problem.prepare} at
+    the default generator levels): its nominal analysis is the sensors'
+    reference and the per-shot problem is posed on it. [guardband]
+    (default 0.1) inflates the measured slowdown to cover sensing error
+    and non-uniformity; [resolution] (default 0.01) quantizes the sensor
+    reading; [sensor] defaults to [In_situ]. Raises [Invalid_argument]
+    unless [guardband] is finite.
 
-    Repeated-shot loops (Monte-Carlo runs one shot per sampled die on
-    one design) can share work across shots: [nominal] is the
-    precomputed NBB analysis, [paths] its [Paths.through_cell] set (for
-    the per-shot problem build), [row_leak] the placement's
-    {!Fbb_core.Problem.leak_tables} at the default generator levels, and
-    [ctx] an incremental STA context created with this shot's [derate] —
-    its bias is driven here (reset to NBB first), replacing the two
-    from-scratch degraded/compensated analyses. Outcomes are
-    bit-identical with or without them. *)
+    [ctx], when given, is an incremental STA context on the design's
+    netlist created with this shot's [derate] (Monte-Carlo reuses the
+    one its single-level search just drove): its bias is driven here,
+    reset to NBB first. Without it the shot creates one on the design's
+    delay cache. *)

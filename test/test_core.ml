@@ -311,7 +311,7 @@ let test_recovery_signoff_independent () =
   let bias g =
     let row = Fbb_place.Placement.row_of pl g in
     if row < 0 then 0.0
-    else t.Problem.levels.(r.Fbb_core.Recovery.levels.(row))
+    else t.Problem.design.levels.(r.Fbb_core.Recovery.levels.(row))
   in
   let biased = Fbb_sta.Timing.analyze ~bias nl in
   Alcotest.(check bool) "independent signoff" true
@@ -338,7 +338,7 @@ let test_recovery_keeps_every_path () =
      meet dcrit) is unsound: every per-cell longest path is a constraint,
      with [required = -slack]. *)
   let p = Lazy.force recovery_t in
-  let through = Fbb_sta.Paths.through_cell p.Problem.analysis in
+  let through = Fbb_sta.Paths.through_cell p.Problem.design.analysis in
   Alcotest.(check int) "all through-cell paths" (Array.length through)
     (Problem.num_paths p);
   Array.iteri
@@ -421,6 +421,97 @@ let test_recovery_bad_margin () =
         | _ -> false))
     [ -0.1; Float.nan; Float.infinity ]
 
+let test_problem_bad_beta () =
+  let d = Problem.prepare (Lazy.force Tsupport.small_placement) in
+  List.iter
+    (fun beta ->
+      Alcotest.(check bool) (Printf.sprintf "beta %g rejected" beta) true
+        (match Problem.pose ~beta d with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity; -0.05 ]
+
+(* Structural equality that counts nan as equal to itself: the nominal
+   analysis keeps nan placeholders for non-flip-flop endpoints. *)
+let same a b = compare a b = 0
+
+(* One prepared design posed many times, sequentially and from pool
+   domains, gives exactly the problems fresh builds give, and comes out
+   of it unchanged. *)
+let test_shared_design_bit_identical () =
+  let pl = Lazy.force Tsupport.small_placement in
+  let d = Problem.prepare pl in
+  let before = Marshal.to_string d [] in
+  let grid =
+    Array.of_list
+      (List.concat_map
+         (fun beta -> List.map (fun margin -> (beta, margin)) [ 0.0; 0.05 ])
+         [ 0.0; 0.05; 0.10 ])
+  in
+  let pose (beta, margin) = Problem.pose ~margin ~beta d in
+  let sequential = Array.map pose grid in
+  let pooled =
+    let prev = Fbb_par.Pool.jobs () in
+    Fbb_par.Pool.set_jobs 3;
+    Fun.protect
+      ~finally:(fun () -> Fbb_par.Pool.set_jobs prev)
+      (fun () -> Fbb_par.Pool.parallel_map ~chunk:1 grid ~f:pose)
+  in
+  Array.iteri
+    (fun i (beta, margin) ->
+      let fresh = Problem.build ~margin ~beta pl in
+      let name = Printf.sprintf "beta %g margin %g" beta margin in
+      Alcotest.(check bool) (name ^ ", sequential") true
+        (same sequential.(i) fresh);
+      Alcotest.(check bool) (name ^ ", pooled") true (same pooled.(i) fresh))
+    grid;
+  Alcotest.(check bool) "design unchanged" true
+    (Marshal.to_string d [] = before)
+
+let test_select () =
+  let rng = Fbb_util.Rng.create ~seed:11 in
+  List.iter
+    (fun p ->
+      let m = Problem.num_paths p in
+      for _ = 1 to 20 do
+        let kept =
+          Array.of_list
+            (List.filter
+               (fun _ -> Fbb_util.Rng.int rng 2 = 0)
+               (List.init m Fun.id))
+        in
+        let q = Problem.select p kept in
+        let take a = Array.map (fun k -> a.(k)) kept in
+        Alcotest.(check bool) "same design" true
+          (q.Problem.design == p.Problem.design);
+        Alcotest.(check bool) "same beta and budget" true
+          (q.Problem.beta = p.Problem.beta && q.Problem.dcrit = p.Problem.dcrit);
+        Alcotest.(check bool) "paths" true (q.Problem.paths = take p.Problem.paths);
+        Alcotest.(check bool) "required" true
+          (q.Problem.required = take p.Problem.required);
+        Alcotest.(check bool) "nominal slack" true
+          (q.Problem.nominal_slack = take p.Problem.nominal_slack);
+        Alcotest.(check bool) "path rows" true
+          (q.Problem.path_rows = take p.Problem.path_rows);
+        (* row_paths is the transpose of path_rows, paths ascending. *)
+        Array.iteri
+          (fun r (rv : Problem.rowvec) ->
+            let want = ref [] in
+            Array.iteri
+              (fun k (pr : Problem.rowvec) ->
+                Array.iteri
+                  (fun i row -> if row = r then want := (k, pr.coef.(i)) :: !want)
+                  pr.idx)
+              q.Problem.path_rows;
+            Alcotest.(check bool) "row paths" true
+              (List.combine (Array.to_list rv.idx) (Array.to_list rv.coef)
+              = List.rev !want))
+          q.Problem.row_paths
+      done;
+      Alcotest.(check bool) "selecting every path is the identity" true
+        (same (Problem.select p (Array.init m Fun.id)) p))
+    [ problem (); Lazy.force recovery_t ]
+
 let test_recovery_bad_c () =
   let t = Lazy.force recovery_t in
   Alcotest.(check bool) "C=0 rejected" true
@@ -496,7 +587,7 @@ let test_recovery_empty_paths () =
     }
   in
   let r = Fbb_core.Recovery.optimize ~max_iterations:3 empty in
-  let nrows = Fbb_place.Placement.num_rows t.Problem.placement in
+  let nrows = Fbb_place.Placement.num_rows t.Problem.design.placement in
   Alcotest.(check int) "levels per row" nrows
     (Array.length r.Fbb_core.Recovery.levels);
   Alcotest.(check bool) "terminates within the cap" true
@@ -590,6 +681,9 @@ let suite =
     ("heuristic rejects C=0", `Quick, test_heuristic_bad_c);
     ("extend with empty set", `Quick, test_extend_empty);
     ("recovery rejects bad margin", `Quick, test_recovery_bad_margin);
+    ("problem rejects bad beta", `Quick, test_problem_bad_beta);
+    ("shared design is bit-identical", `Quick, test_shared_design_bit_identical);
+    ("select keeps a path subset", `Quick, test_select);
     ("recovery rejects C < 1", `Quick, test_recovery_bad_c);
     ("zero beta is trivial", `Quick, test_zero_beta);
     ("refine zero beta converges at once", `Quick, test_refine_zero_beta);

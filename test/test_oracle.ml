@@ -193,8 +193,8 @@ let test_permutation_invariance () =
     (* reversal, a permutation the fuzzer's rotation does not cover *)
     let perm = Array.init n (fun i -> n - 1 - i) in
     let q =
-      Problem.build ~levels:p.Problem.levels ~beta:c.Case.beta
-        (Fbb_place.Placement.permute_rows p.Problem.placement perm)
+      Problem.build ~levels:p.Problem.design.levels ~beta:c.Case.beta
+        (Fbb_place.Placement.permute_rows p.Problem.design.placement perm)
     in
     (match Oracle.solve q with
     | Oracle.Infeasible -> Alcotest.fail "permutation broke feasibility"

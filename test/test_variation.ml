@@ -9,6 +9,8 @@ module T = Fbb_sta.Timing
 module Pl = Fbb_place.Placement
 
 let placement () = Lazy.force Tsupport.small_placement
+let prepared = lazy (Fbb_core.Problem.prepare (placement ()))
+let design () = Lazy.force prepared
 
 let test_uniform () =
   Alcotest.(check (float 1e-12)) "uniform" 1.05 (M.uniform 0.05 3)
@@ -113,8 +115,7 @@ let test_quantize () =
     (Sensor.quantize ~resolution:0.01 r).Sensor.slowdown
 
 let test_tuning_closes_uniform_slowdown () =
-  let pl = placement () in
-  let o = Tuning.compensate pl ~derate:(M.uniform 0.08) in
+  let o = Tuning.compensate (design ()) ~derate:(M.uniform 0.08) in
   Alcotest.(check bool) "timing closed" true o.Tuning.timing_closed;
   Alcotest.(check bool) "measured ~ 8%+guardband" true
     (o.Tuning.measured_beta >= 0.08);
@@ -126,8 +127,7 @@ let test_tuning_closes_uniform_slowdown () =
     (o.Tuning.clusters <= 2)
 
 let test_tuning_no_slowdown_no_bias () =
-  let pl = placement () in
-  let o = Tuning.compensate pl ~derate:(fun _ -> 1.0) in
+  let o = Tuning.compensate (design ()) ~derate:(fun _ -> 1.0) in
   Alcotest.(check bool) "closed" true o.Tuning.timing_closed;
   Alcotest.(check (float 1e-9)) "no extra leakage" o.Tuning.nominal_leakage_nw
     o.Tuning.leakage_nw
@@ -139,20 +139,30 @@ let test_tuning_closes_correlated_variation () =
     M.combine
       [ M.spatially_correlated rng ~sigma:0.04 pl; M.uniform 0.03 ]
   in
-  let o = Tuning.compensate ~guardband:0.3 pl ~derate in
+  let o = Tuning.compensate ~guardband:0.3 (design ()) ~derate in
   Alcotest.(check bool) "timing closed under variation" true
     o.Tuning.timing_closed
 
 let test_tuning_impossible_slowdown () =
-  let pl = placement () in
-  let o = Tuning.compensate pl ~derate:(M.uniform 0.6) in
+  let o = Tuning.compensate (design ()) ~derate:(M.uniform 0.6) in
   Alcotest.(check bool) "reported impossible" true (o.Tuning.levels = None);
   Alcotest.(check bool) "not closed" false o.Tuning.timing_closed
 
+let test_tuning_bad_guardband () =
+  List.iter
+    (fun guardband ->
+      Alcotest.(check bool) (Printf.sprintf "guardband %g rejected" guardband)
+        true
+        (match
+           Tuning.compensate ~guardband (design ()) ~derate:(M.uniform 0.08)
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity ]
+
 let test_tuning_aging_monotone_leakage () =
-  let pl = placement () in
   let leak_at years =
-    (Tuning.compensate pl ~derate:(fun _ -> M.nbti_aging_derate years))
+    (Tuning.compensate (design ()) ~derate:(fun _ -> M.nbti_aging_derate years))
       .Tuning.leakage_nw
   in
   let l0 = leak_at 0.0 and l3 = leak_at 3.0 and l10 = leak_at 10.0 in
@@ -204,5 +214,6 @@ let suite =
     ("tuning no slowdown, no bias", `Quick, test_tuning_no_slowdown_no_bias);
     ("tuning closes correlated variation", `Quick, test_tuning_closes_correlated_variation);
     ("tuning impossible slowdown", `Quick, test_tuning_impossible_slowdown);
+    ("tuning rejects bad guardband", `Quick, test_tuning_bad_guardband);
     ("tuning aging monotone leakage", `Quick, test_tuning_aging_monotone_leakage);
   ]

@@ -151,7 +151,9 @@ let formulate ~max_clusters p =
   {
     BB.num_vars;
     minimize;
-    constraints = timing @ assignment @ linking @ budget @ y_bounds;
+    rows =
+      Fbb_lp.Dual_simplex.pack ~num_vars
+        (timing @ assignment @ linking @ budget @ y_bounds);
   }
 
 (* All ascending level subsets of the given size. *)
@@ -202,7 +204,13 @@ let formulate_subset p ~kept ~subset =
           rhs = 1.0;
         })
   in
-  ({ BB.num_vars = nrows * ns; minimize; constraints = timing @ assignment }, s)
+  let num_vars = nrows * ns in
+  ( {
+      BB.num_vars;
+      minimize;
+      rows = Fbb_lp.Dual_simplex.pack ~num_vars (timing @ assignment);
+    },
+    s )
 
 (* Project a full assignment into the subset: each row rounds its level up
    to the next subset member (preserving feasibility since higher levels

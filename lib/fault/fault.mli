@@ -13,8 +13,9 @@
       back to the full path list ([ilp.reduce_faults]);
     - ["pool.transient"] — a transient task failure; the pool retries
       the chunk with bounded deterministic backoff;
-    - ["lp.pivot_limit"] — forces {!Fbb_lp.Simplex.solve} to report
-      [Pivot_limit] without solving, exercising the B&B and cascade
+    - ["lp.pivot_limit"] — forces {!Fbb_lp.Dual_simplex.solve} (and
+      the reference {!Fbb_lp.Simplex.solve}) to report [Pivot_limit]
+      without solving, exercising the B&B and cascade
       degradation paths;
     - ["io.transient"] — a transient I/O error inside
       {!Fbb_util.Atomic_io.write_atomic} (installed by

@@ -1,4 +1,4 @@
-module S = Fbb_lp.Simplex
+module D = Fbb_lp.Dual_simplex
 
 (* Observability. Totals accumulate with or without a sink; [nodes] in
    the result stays authoritative for compatibility, and the counters
@@ -7,14 +7,14 @@ let nodes_c = Fbb_obs.Counter.make "bb.nodes"
 let pruned_c = Fbb_obs.Counter.make "bb.pruned"
 let incumbents_c = Fbb_obs.Counter.make "bb.incumbents"
 let lp_infeasible_c = Fbb_obs.Counter.make "bb.lp_infeasible"
-let lp_pivot_limit_c = Fbb_obs.Counter.make "bb.lp_pivot_limit"
+let lp_unproven_c = Fbb_obs.Counter.make "bb.lp_pivot_limit"
 let waves_c = Fbb_obs.Counter.make "bb.waves"
 let wave_faults_c = Fbb_obs.Counter.make "bb.wave_faults"
 
 type problem = {
   num_vars : int;
   minimize : float array;
-  constraints : S.constr list;
+  rows : D.rows;
 }
 
 type limits = { max_nodes : int; max_seconds : float }
@@ -37,72 +37,15 @@ let objective_of p x =
 
 let int_eps = 1e-6
 
-(* Build the LP over free variables only; fixed variables are substituted
-   into the right-hand sides. [fixed.(i)] is -1 (free), 0 or 1. *)
-let reduced_lp p fixed =
-  let map = Array.make p.num_vars (-1) in
-  let free = ref [] in
-  let nfree = ref 0 in
-  for i = 0 to p.num_vars - 1 do
-    if fixed.(i) < 0 then begin
-      map.(i) <- !nfree;
-      free := i :: !free;
-      incr nfree
-    end
-  done;
-  let free = Array.of_list (List.rev !free) in
-  let constraints =
-    List.filter_map
-      (fun (c : S.constr) ->
-        let rhs = ref c.S.rhs in
-        let terms =
-          List.filter_map
-            (fun (v, a) ->
-              if fixed.(v) >= 0 then begin
-                rhs := !rhs -. (a *. float_of_int fixed.(v));
-                None
-              end
-              else Some (map.(v), a))
-            c.S.terms
-        in
-        match terms with
-        | [] ->
-          (* Fully substituted: keep an infeasibility marker if violated. *)
-          let violated =
-            match c.S.relation with
-            | S.Le -> 0.0 > !rhs +. 1e-9
-            | S.Ge -> 0.0 < !rhs -. 1e-9
-            | S.Eq -> Float.abs !rhs > 1e-9
-          in
-          if violated then
-            Some { S.terms = [ (0, 0.0) ]; relation = c.S.relation; rhs = !rhs }
-          else None
-        | _ -> Some { S.terms; relation = c.S.relation; rhs = !rhs })
-      p.constraints
-  in
-  let minimize = Array.map (fun i -> p.minimize.(i)) free in
-  let fixed_cost = ref 0.0 in
-  for i = 0 to p.num_vars - 1 do
-    if fixed.(i) = 1 then fixed_cost := !fixed_cost +. p.minimize.(i)
-  done;
-  ( {
-      S.num_vars = Array.length free;
-      minimize;
-      constraints;
-      upper = Some (Array.make (Array.length free) 1.0);
-    },
-    free,
-    !fixed_cost )
-
 let feasible p x =
-  S.check
-    { S.num_vars = p.num_vars; minimize = p.minimize; constraints = p.constraints; upper = Some (Array.make p.num_vars 1.0) }
-    x ~eps:1e-6
+  Array.for_all (fun v -> v >= -1e-6 && v <= 1.0 +. 1e-6) x
+  && D.satisfies p.rows x ~eps:1e-6
 
-(* Subproblem awaiting exploration. [lower] is the parent's LP bound -
-   a valid lower bound on anything beneath this node, used to discard
-   it without an LP solve once the incumbent has moved past it. *)
-type node = { fixed : int array; lower : float }
+(* Subproblem awaiting exploration: its branch fixings, newest first,
+   and [lower], the parent's certified LP bound - a valid lower bound on
+   anything beneath this node, used to discard it without an LP solve
+   once the incumbent has moved past it. *)
+type node = { fixes : (int * float) list; lower : float }
 
 (* What exploring one node produced. Computed in parallel on the pool;
    pure in the shared search state, so a wave's outcomes depend only on
@@ -111,10 +54,15 @@ type outcome =
   | Pre_pruned
   | Bound_pruned
   | Lp_infeasible
-  | Lp_pivot_limit
+  | Lp_unproven  (* pivot limit, deadline or an unchecked certificate *)
   | Wave_fault  (* a pool worker crashed; the wave's outcomes are lost *)
   | Integral of float array * float
   | Branched of node * node
+
+(* Each domain re-solves its nodes in one reusable state; a node's solve
+   runs start to finish without yielding, so nothing else on the domain
+   can touch it meanwhile. *)
+let workspace = Domain.DLS.new_key (fun () -> D.workspace ())
 
 (* The threshold a wave prunes against: anything whose lower bound
    cannot beat it (within 1e-9) is abandoned. It folds together the
@@ -123,52 +71,50 @@ type outcome =
    the same value. That freeze is what makes the parallel search
    deterministic: incumbents found mid-wave only tighten the *next*
    wave, identically at any job count, instead of racing into sibling
-   subtrees at scheduler-dependent moments. *)
-let explore p threshold node =
+   subtrees at scheduler-dependent moments.
+
+   The root node solves [root] in place; it is alone in the first wave,
+   and every later node is its descendant, re-solved from a copy of the
+   solved root with its fixings applied as bounds. *)
+let explore p root budget threshold node =
   if node.lower >= threshold -. 1e-9 then Pre_pruned
   else begin
-    let lp, free, fixed_cost = reduced_lp p node.fixed in
-    match Fbb_obs.Span.with_ ~name:"bb.lp_bound" (fun () -> S.solve lp) with
-    | S.Infeasible | S.Unbounded -> Lp_infeasible
-    (* No budget is passed into these parallel LP solves (a shared
-       budget ticked from the pool would trip at scheduler-dependent
-       points), so [Budget_exhausted] cannot occur here; treat it like
-       a pivot limit - the subtree lost its bound - if it ever does. *)
-    | S.Pivot_limit | S.Budget_exhausted -> Lp_pivot_limit
-    | S.Optimal { objective; solution } ->
-      let total = objective +. fixed_cost in
-      if total >= threshold -. 1e-9 then Bound_pruned
+    let lp =
+      if node.fixes = [] then root
+      else begin
+        let w = Domain.DLS.get workspace in
+        D.load w ~from:root;
+        List.iter (fun (j, v) -> D.fix w j v) (List.rev node.fixes);
+        w
+      end
+    in
+    match Fbb_obs.Span.with_ ~name:"bb.lp_bound" (fun () -> D.solve ~budget lp) with
+    | D.Infeasible -> Lp_infeasible
+    | D.Uncertified | D.Pivot_limit | D.Budget_exhausted -> Lp_unproven
+    | D.Optimal bound ->
+      if bound >= threshold -. 1e-9 then Bound_pruned
       else begin
         (* Most fractional free variable. *)
-        let frac = ref (-1) in
-        let dist = ref 0.0 in
-        Array.iteri
-          (fun k _ ->
-            let v = solution.(k) in
-            let d = Float.min (Float.abs v) (Float.abs (1.0 -. v)) in
-            if d > int_eps && d > !dist then begin
-              dist := d;
-              frac := k
-            end)
-          free;
+        let frac = ref (-1) and dist = ref 0.0 and frac_v = ref 0.0 in
+        for j = 0 to p.num_vars - 1 do
+          (* A fixed column sits on its 0/1 value, so it never counts. *)
+          let v = D.value lp j in
+          let d = Float.min (Float.abs v) (Float.abs (1.0 -. v)) in
+          if d > int_eps && d > !dist then begin
+            dist := d;
+            frac := j;
+            frac_v := v
+          end
+        done;
         if !frac < 0 then begin
           (* Integral: candidate incumbent. *)
-          let x = Array.make p.num_vars 0.0 in
-          for i = 0 to p.num_vars - 1 do
-            if node.fixed.(i) >= 0 then x.(i) <- float_of_int node.fixed.(i)
-          done;
-          Array.iteri (fun k i -> x.(i) <- Float.round solution.(k)) free;
+          let x = Array.init p.num_vars (fun j -> Float.round (D.value lp j)) in
           Integral (x, objective_of p x)
         end
         else begin
-          let var = free.(!frac) in
-          let first = if solution.(!frac) >= 0.5 then 1 else 0 in
-          let child v =
-            let fixed = Array.copy node.fixed in
-            fixed.(var) <- v;
-            { fixed; lower = total }
-          in
-          Branched (child first, child (1 - first))
+          let first = if !frac_v >= 0.5 then 1.0 else 0.0 in
+          let child v = { fixes = (!frac, v) :: node.fixes; lower = bound } in
+          Branched (child first, child (1.0 -. first))
         end
       end
   end
@@ -204,8 +150,11 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
     let b = match !best with Some (_, b) -> b | None -> Float.infinity in
     match cutoff with Some c -> Float.min b c | None -> b
   in
-  let root = { fixed = Array.make p.num_vars (-1); lower = Float.neg_infinity } in
-  let frontier = ref [ root ] in
+  let root =
+    D.create ~cost:p.minimize ~lo:(Array.make p.num_vars 0.0)
+      ~hi:(Array.make p.num_vars 1.0) p.rows
+  in
+  let frontier = ref [ { fixes = []; lower = Float.neg_infinity } ] in
   let running = ref true in
   while !running && !frontier <> [] do
     if
@@ -223,7 +172,7 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
       let t = threshold () in
       let batch = Array.of_list batch in
       let outcomes =
-        match Fbb_par.Pool.parallel_map ~chunk:1 batch ~f:(explore p t) with
+        match Fbb_par.Pool.parallel_map ~chunk:1 batch ~f:(explore p root budget t) with
         | outcomes -> outcomes
         | exception Fbb_par.Pool.Worker_error _ ->
           Fbb_obs.Counter.incr wave_faults_c;
@@ -246,11 +195,11 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
           match outcome with
           | Pre_pruned | Bound_pruned -> Fbb_obs.Counter.incr pruned_c
           | Lp_infeasible -> Fbb_obs.Counter.incr lp_infeasible_c
-          | Lp_pivot_limit ->
+          | Lp_unproven ->
             (* The LP could not bound this subtree; abandoning it without
                a proof forfeits optimality, exactly like a node/time
                budget. *)
-            Fbb_obs.Counter.incr lp_pivot_limit_c;
+            Fbb_obs.Counter.incr lp_unproven_c;
             hit_limit := true
           | Wave_fault ->
             (* Same forfeit: the incumbent and the rest of the frontier

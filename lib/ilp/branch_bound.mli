@@ -1,7 +1,14 @@
 (** 0-1 integer linear programming by branch and bound.
 
-    LP-relaxation bounds come from {!Fbb_lp.Simplex}; branching is on the
-    most fractional variable, depth-first flavoured, exploring the nearest
+    LP-relaxation bounds come from {!Fbb_lp.Dual_simplex}: each solve
+    builds one engine state from the packed rows with every column boxed
+    in [[0, 1]] and solves the root LP once, in place. Every other node
+    copies that solved root into a per-domain workspace, applies its
+    branch fixings as bounds ([lo = hi]) and re-optimizes by dual
+    simplex, so no LP ever runs a phase 1 and no constraint list is
+    rebuilt per node. A node prunes only on the engine's certified
+    bound, which never exceeds the LP optimum. Branching is on the most
+    fractional variable, depth-first flavoured, exploring the nearest
     rounding first. A warm-start incumbent (e.g. from the paper's
     heuristic) makes pruning effective immediately. Node and wall-clock
     limits reproduce the paper's "ILP did not converge" behaviour on the
@@ -21,7 +28,7 @@
 type problem = {
   num_vars : int;  (** all variables are binary *)
   minimize : float array;
-  constraints : Fbb_lp.Simplex.constr list;
+  rows : Fbb_lp.Dual_simplex.rows;
 }
 
 type limits = {
@@ -51,14 +58,17 @@ val solve :
 (** [incumbent], when given, must be a feasible 0/1 vector; it seeds the
     upper bound. Raises [Invalid_argument] if it is infeasible.
 
-    [budget] bounds the search cooperatively: it is consulted before
-    each wave and ticked once per expanded node {e in the sequential
-    wave fold} (never inside the parallel LP solves), so with a pure
-    work budget the set of explored nodes — and hence the incumbent —
-    is bit-identical at any job count. When the budget trips, the
-    search stops at the wave boundary and reports
-    [Feasible]/[Limit_reached] with the best incumbent found so far
-    (anytime semantics), exactly like the node or time limits.
+    [budget] bounds the search cooperatively. Its work is ticked once
+    per expanded node {e in the sequential wave fold} (never inside the
+    parallel LP solves), and it is consulted before each wave, so with
+    a pure work budget the set of explored nodes, and hence the
+    incumbent, is bit-identical at any job count. Every LP also
+    re-checks it before each pivot with {!Fbb_util.Budget.ok}, root LP
+    included, which consumes no work: a passed deadline stops the LP
+    mid-solve. When the budget trips the search stops at the wave
+    boundary and reports [Feasible]/[Limit_reached] with the best
+    incumbent found so far (anytime semantics), exactly like the node
+    or time limits.
 
     [cutoff] prunes any subtree whose LP bound is not strictly below it —
     useful when an external search already holds a solution of that
@@ -67,13 +77,14 @@ val solve :
     The whole solve runs inside a [bb.solve] observability span, each
     LP relaxation inside [bb.lp_bound]; node, prune, incumbent and
     LP-failure events accumulate on the [bb.*] counters (the delta of
-    [bb.nodes] over a call equals [result.nodes]). An LP relaxation
-    ending in {!Fbb_lp.Simplex.Pivot_limit} abandons that subtree and
-    downgrades the result to [Feasible]/[Limit_reached], like a node or
-    time budget. A wave whose parallel map raises
-    {!Fbb_par.Pool.Worker_error} (e.g. an injected ["pool.worker"]
-    fault) is handled the same way: its nodes are abandoned, the
-    incumbent and the rest of the frontier are kept, the search goes
-    on, and [bb.wave_faults] counts the wave. *)
+    [bb.nodes] over a call equals [result.nodes]). An LP that reaches no
+    certified answer (pivot limit, passed deadline, or a Farkas
+    certificate that does not check) abandons that subtree, is counted
+    on [bb.lp_pivot_limit] and downgrades the result to
+    [Feasible]/[Limit_reached], like a node or time budget. A wave
+    whose parallel map raises {!Fbb_par.Pool.Worker_error} (e.g. an
+    injected ["pool.worker"] fault) is handled the same way: its nodes
+    are abandoned, the incumbent and the rest of the frontier are kept,
+    the search goes on, and [bb.wave_faults] counts the wave. *)
 
 val objective_of : problem -> float array -> float

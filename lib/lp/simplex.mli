@@ -1,12 +1,16 @@
-(** Dense two-phase primal simplex for linear programs
+(** Dense two-phase primal simplex for linear programs: the reference
+    implementation
 
     {v minimize c.x  subject to  A x (<= | >= | =) b,  0 <= x <= u v}
 
-    Replaces the paper's [lp_solve] dependency. Constraints are given
-    sparsely (index/coefficient pairs); the solver densifies internally.
-    Bland's anti-cycling rule is engaged after a stall, so termination is
-    guaranteed. Suitable for the problem sizes this repository produces
-    (hundreds of rows and columns). *)
+    The branch and bound solves its LPs with {!Dual_simplex}; this
+    solver is kept as the independent reference that the tests compare
+    it against, and its constraint type is the list form
+    {!Dual_simplex.pack} accepts. Constraints are given sparsely
+    (index/coefficient pairs); the solver densifies internally, turns
+    each finite upper bound into a [Le] row and gives every [Ge]/[Eq]
+    row an artificial for phase 1. Bland's anti-cycling rule is engaged
+    after a stall, so termination is guaranteed. *)
 
 type relation = Le | Ge | Eq
 

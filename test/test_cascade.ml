@@ -134,9 +134,10 @@ let test_bb_survives_worker_faults () =
     {
       BB.num_vars = 2;
       minimize = [| 1.0; 1.0 |];
-      constraints =
-        [ { Fbb_lp.Simplex.terms = [ (0, 1.0); (1, 1.0) ];
-            relation = Fbb_lp.Simplex.Ge; rhs = 1.0 } ];
+      rows =
+        Fbb_lp.Dual_simplex.pack ~num_vars:2
+          [ { Fbb_lp.Simplex.terms = [ (0, 1.0); (1, 1.0) ];
+              relation = Fbb_lp.Simplex.Ge; rhs = 1.0 } ];
     }
   in
   let wave_faults = Fbb_obs.Counter.make "bb.wave_faults" in

@@ -263,7 +263,7 @@ let test_formulation_shape () =
   (* timing + assignment + linking + budget + y-bounds *)
   Alcotest.(check int) "constraint count"
     (Problem.num_paths p + nrows + nlev + 1 + nlev)
-    (List.length bbp.Fbb_ilp.Branch_bound.constraints)
+    (Fbb_lp.Dual_simplex.num_rows bbp.Fbb_ilp.Branch_bound.rows)
 
 let recovery_t =
   lazy (Fbb_core.Recovery.build ~margin:0.08 (Lazy.force Tsupport.small_placement))

@@ -45,7 +45,11 @@ let random_problem rng =
           let total = List.fold_left (fun a (_, co) -> a +. co) 0.0 terms in
           c terms S.Ge (Float.of_int (Rng.int rng (int_of_float total + 1))))
   in
-  { BB.num_vars = n; minimize; constraints }
+  {
+    BB.num_vars = n;
+    minimize;
+    rows = Fbb_lp.Dual_simplex.pack ~num_vars:n constraints;
+  }
 
 let test_branch_bound () =
   let rng = Fbb_util.Rng.create ~seed:321 in

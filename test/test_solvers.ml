@@ -8,6 +8,9 @@ let lp ?upper num_vars minimize constraints =
 
 let c terms relation rhs = { S.terms; relation; rhs }
 
+let bb num_vars minimize constraints =
+  { BB.num_vars; minimize; rows = Fbb_lp.Dual_simplex.pack ~num_vars constraints }
+
 let expect_opt name problem expected_obj =
   match S.solve problem with
   | S.Optimal { objective; solution } ->
@@ -74,8 +77,10 @@ let test_lp_duplicate_terms () =
     (lp 1 [ -1.0 ] [ c [ (0, 1.0); (0, 1.0) ] S.Le 4.0 ])
     (-2.0)
 
-(* Brute-force reference for small 0-1 programs. *)
-let brute p =
+(* Brute-force reference for small 0-1 programs. It checks the
+   constraint list itself, not the packed rows the solver reads, so a
+   packing fault cannot hide from it. *)
+let brute (p, constraints) =
   let n = p.BB.num_vars in
   let best = ref None in
   for mask = 0 to (1 lsl n) - 1 do
@@ -90,7 +95,7 @@ let brute p =
           | S.Le -> lhs <= cc.S.rhs +. 1e-9
           | S.Ge -> lhs >= cc.S.rhs -. 1e-9
           | S.Eq -> Float.abs (lhs -. cc.S.rhs) <= 1e-9)
-        p.BB.constraints
+        constraints
     in
     if ok then begin
       let obj = BB.objective_of p x in
@@ -119,16 +124,19 @@ let random_problem rng =
           let total =
             List.fold_left (fun a (_, co) -> a +. co) 0.0 terms
           in
-          c terms S.Ge (Float.of_int (Rng.int rng (int_of_float total + 1))))
+          let relation =
+            match Rng.int rng 4 with 0 -> S.Le | 1 -> S.Eq | _ -> S.Ge
+          in
+          c terms relation (Float.of_int (Rng.int rng (int_of_float total + 1))))
   in
-  { BB.num_vars = n; minimize; constraints }
+  (bb n minimize constraints, constraints)
 
 let test_bb_vs_brute_force () =
   let rng = Fbb_util.Rng.create ~seed:123 in
   for _ = 1 to 60 do
-    let p = random_problem rng in
+    let ((p, _) as problem) = random_problem rng in
     let r = BB.solve p in
-    match (brute p, r.BB.best) with
+    match (brute problem, r.BB.best) with
     | None, None -> ()
     | Some expected, Some (_, got) ->
       Alcotest.(check (float 1e-6)) "optimum matches brute force" expected got
@@ -138,8 +146,8 @@ let test_bb_vs_brute_force () =
 
 let test_bb_status_optimal () =
   let p =
-    { BB.num_vars = 2; minimize = [| 1.0; 2.0 |];
-      constraints = [ c [ (0, 1.0); (1, 1.0) ] S.Ge 1.0 ] }
+    bb 2 [| 1.0; 2.0 |]
+      [ c [ (0, 1.0); (1, 1.0) ] S.Ge 1.0 ]
   in
   let r = BB.solve p in
   Alcotest.(check bool) "proved optimal" true (r.BB.status = BB.Proved_optimal);
@@ -149,26 +157,24 @@ let test_bb_status_optimal () =
 
 let test_bb_infeasible () =
   let p =
-    { BB.num_vars = 2; minimize = [| 1.0; 1.0 |];
-      constraints =
-        [
-          c [ (0, 1.0); (1, 1.0) ] S.Le 1.0;
-          c [ (0, 1.0) ] S.Ge 1.0;
-          c [ (1, 1.0) ] S.Ge 1.0;
-        ] }
+    bb 2 [| 1.0; 1.0 |]
+      [
+        c [ (0, 1.0); (1, 1.0) ] S.Le 1.0;
+        c [ (0, 1.0) ] S.Ge 1.0;
+        c [ (1, 1.0) ] S.Ge 1.0;
+      ]
   in
   Alcotest.(check bool) "infeasible" true
     ((BB.solve p).BB.status = BB.Proved_infeasible)
 
 let test_bb_warm_start () =
   let p =
-    { BB.num_vars = 3; minimize = [| 3.0; 5.0; 4.0 |];
-      constraints =
-        [
-          c [ (0, 1.0); (1, 1.0) ] S.Ge 1.0;
-          c [ (1, 1.0); (2, 1.0) ] S.Ge 1.0;
-          c [ (0, 1.0); (2, 1.0) ] S.Ge 1.0;
-        ] }
+    bb 3 [| 3.0; 5.0; 4.0 |]
+      [
+        c [ (0, 1.0); (1, 1.0) ] S.Ge 1.0;
+        c [ (1, 1.0); (2, 1.0) ] S.Ge 1.0;
+        c [ (0, 1.0); (2, 1.0) ] S.Ge 1.0;
+      ]
   in
   let r = BB.solve ~incumbent:[| 1.0; 1.0; 1.0 |] p in
   (match r.BB.best with
@@ -180,8 +186,8 @@ let test_bb_warm_start () =
 
 let test_bb_cutoff () =
   let p =
-    { BB.num_vars = 1; minimize = [| 5.0 |];
-      constraints = [ c [ (0, 1.0) ] S.Ge 1.0 ] }
+    bb 1 [| 5.0 |]
+      [ c [ (0, 1.0) ] S.Ge 1.0 ]
   in
   let r = BB.solve ~cutoff:5.0 p in
   Alcotest.(check bool) "cutoff suppresses equal solutions" true
@@ -214,7 +220,7 @@ let test_bb_counters_match_result () =
   let pruned_c = Fbb_obs.Counter.make "bb.pruned" in
   let rng = Fbb_util.Rng.create ~seed:321 in
   for _ = 1 to 10 do
-    let p = random_problem rng in
+    let p = fst (random_problem rng) in
     let n0 = Fbb_obs.Counter.read nodes_c in
     let p0 = Fbb_obs.Counter.read pruned_c in
     let r = BB.solve p in
@@ -227,9 +233,143 @@ let test_bb_counters_match_result () =
 
 let test_bb_node_limit () =
   let rng = Fbb_util.Rng.create ~seed:77 in
-  let p = random_problem rng in
+  let p = fst (random_problem rng) in
   let r = BB.solve ~limits:{ BB.max_nodes = 1; max_seconds = 60.0 } p in
   Alcotest.(check bool) "limited" true (r.BB.nodes <= 2)
+
+(* ----- bounded dual simplex ---------------------------------------- *)
+
+module D = Fbb_lp.Dual_simplex
+
+(* A random LP shaped like [Ilp_opt.formulate_subset]: [nrows] design
+   rows choosing among [ns] levels (column [i * ns + q]), [Ge] timing
+   rows with non-negative coefficients (delay times a per-level
+   reduction), one [Eq] assignment row per design row, non-negative
+   costs, every column in [0, 1], and a few random fixings. Up to two
+   [Le] cap rows, like [Ilp_opt.formulate]'s budget rows, cover the
+   third relation. Timing requirements reach past what full bias
+   achieves, so some draws are infeasible. *)
+let subset_lp seed =
+  let module R = Fbb_util.Rng in
+  let rng = R.create ~seed in
+  let nrows = R.int_in rng 2 7 and ns = R.int_in rng 1 4 in
+  let n = nrows * ns in
+  let reduction =
+    Array.init ns (fun q -> 0.05 *. float_of_int (q + 1) +. R.float rng 0.04)
+  in
+  let cost = Array.init n (fun _ -> R.float rng 100.0) in
+  let timing =
+    List.init (R.int_in rng 1 8) (fun _ ->
+        let terms = ref [] and full = ref 0.0 in
+        for i = 0 to nrows - 1 do
+          if R.bool rng then begin
+            let d = 1.0 +. R.float rng 50.0 in
+            full := !full +. (d *. reduction.(ns - 1));
+            for q = 0 to ns - 1 do
+              terms := ((i * ns) + q, d *. reduction.(q)) :: !terms
+            done
+          end
+        done;
+        c (List.rev !terms) S.Ge (!full *. R.float rng 1.0))
+  in
+  let assignment =
+    List.init nrows (fun i -> c (List.init ns (fun q -> ((i * ns) + q, 1.0))) S.Eq 1.0)
+  in
+  let caps =
+    List.init (R.int rng 3) (fun _ ->
+        let terms =
+          List.init n (fun j -> (j, R.float rng 1.0))
+          |> List.filter (fun _ -> R.bool rng)
+        in
+        c terms S.Le (R.float rng (float_of_int nrows)))
+  in
+  let fixes =
+    List.init (R.int rng 4) (fun _ -> (R.int rng n, float_of_int (R.int rng 2)))
+    |> List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  (n, cost, timing @ assignment @ caps, fixes)
+
+(* The reference: the two-phase solver with the fixings as equalities. *)
+let reference (n, cost, constraints, fixes) =
+  let fixed = List.map (fun (j, v) -> c [ (j, 1.0) ] S.Eq v) fixes in
+  S.solve (lp ~upper:(Array.make n 1.0) n (Array.to_list cost) (constraints @ fixed))
+
+let engine (n, cost, constraints, _) =
+  D.create ~cost ~lo:(Array.make n 0.0) ~hi:(Array.make n 1.0)
+    (D.pack ~num_vars:n constraints)
+
+let close ?(rel = 1e-7) a b = Float.abs (a -. b) <= rel *. Float.max 1.0 (Float.abs b)
+
+let dual_matches_reference =
+  QCheck.Test.make ~name:"dual simplex matches the two-phase reference" ~count:300
+    (QCheck.int_range 1 1_000_000) (fun seed ->
+      let lpx = subset_lp seed in
+      let _, _, _, fixes = lpx in
+      (* Cold: fixings on the fresh slack basis. *)
+      let cold = engine lpx in
+      List.iter (fun (j, v) -> D.fix cold j v) fixes;
+      let cold_out = D.solve cold in
+      (* Warm: the solved root copied into a workspace, then fixed. *)
+      let root = engine lpx in
+      let warm =
+        match D.solve root with
+        | D.Optimal _ ->
+          let w = D.workspace () in
+          D.load w ~from:root;
+          List.iter (fun (j, v) -> D.fix w j v) fixes;
+          Some (D.solve w, w)
+        | D.Infeasible | D.Uncertified | D.Pivot_limit | D.Budget_exhausted -> None
+      in
+      match (reference lpx, cold_out) with
+      | S.Infeasible, D.Infeasible ->
+        Option.fold ~none:true ~some:(fun (o, _) -> o = D.Infeasible) warm
+      | S.Optimal { objective; _ }, D.Optimal bound ->
+        let agrees t = close (D.objective t) objective in
+        agrees cold
+        && bound <= objective +. (1e-12 *. Float.max 1.0 (Float.abs objective))
+        && close ~rel:1e-6 bound objective
+        && Option.fold ~none:false
+             ~some:(fun (o, w) ->
+               (match o with D.Optimal _ -> true | _ -> false)
+               && agrees w
+               && close (D.objective w) (D.objective cold))
+             warm
+      | _, _ -> false)
+
+let test_dual_no_phase1 () =
+  let phase1 = Fbb_obs.Counter.make "lp.phase1_pivots" in
+  let pivots = Fbb_obs.Counter.make "lp.pivots" in
+  let before = Fbb_obs.Counter.read phase1 and pivots0 = Fbb_obs.Counter.read pivots in
+  let rng = Fbb_util.Rng.create ~seed:99 in
+  for _ = 1 to 10 do
+    ignore (BB.solve (fst (random_problem rng)))
+  done;
+  Alcotest.(check bool) "pivots ran" true (Fbb_obs.Counter.read pivots > pivots0);
+  Alcotest.(check int) "lp.phase1_pivots unchanged" before
+    (Fbb_obs.Counter.read phase1)
+
+let test_dual_deadline_stop () =
+  (* Needs pivots: every timing row starts violated at the slack basis. *)
+  let lpx = subset_lp 7 in
+  let budget = Fbb_util.Budget.create ~deadline_s:0.0 () in
+  Unix.sleepf 0.002;
+  let stops = Fbb_obs.Counter.make "lp.budget_stops" in
+  let pivots = Fbb_obs.Counter.make "lp.pivots" in
+  let s0 = Fbb_obs.Counter.read stops and p0 = Fbb_obs.Counter.read pivots in
+  Alcotest.(check bool) "budget exhausted" true
+    (D.solve ~budget (engine lpx) = D.Budget_exhausted);
+  Alcotest.(check int) "lp.budget_stops bumped" (s0 + 1) (Fbb_obs.Counter.read stops);
+  Alcotest.(check int) "no pivot taken" p0 (Fbb_obs.Counter.read pivots);
+  Alcotest.(check bool) "work untouched" true (Fbb_util.Budget.work_used budget = 0)
+
+let test_dual_certified_infeasible () =
+  (* x0 + x1 >= 3 over [0, 1] boxes: no point, and the certificate
+     shows it. *)
+  let t =
+    D.create ~cost:[| 1.0; 1.0 |] ~lo:[| 0.0; 0.0 |] ~hi:[| 1.0; 1.0 |]
+      (D.pack ~num_vars:2 [ c [ (0, 1.0); (1, 1.0) ] S.Ge 3.0 ])
+  in
+  Alcotest.(check bool) "infeasible" true (D.solve t = D.Infeasible)
 
 let suite =
   [
@@ -249,4 +389,8 @@ let suite =
     ("bb cutoff", `Quick, test_bb_cutoff);
     ("bb node limit", `Quick, test_bb_node_limit);
     ("bb counters match result", `Quick, test_bb_counters_match_result);
+    ("dual no phase 1 in branch and bound", `Quick, test_dual_no_phase1);
+    ("dual deadline stops before first pivot", `Quick, test_dual_deadline_stop);
+    ("dual certified infeasible", `Quick, test_dual_certified_infeasible);
+    QCheck_alcotest.to_alcotest ~long:false dual_matches_reference;
   ]

@@ -57,10 +57,10 @@ cascade-demo: build
 	  --deadline-ms 50
 
 profile: build
-	$(DUNE) exec bin/fbbopt.exe -- optimize -d c5315 --ilp --profile
+	$(DUNE) exec bin/fbbopt.exe -- optimize -d c5315 --cascade --profile
 
 trace: build
-	$(DUNE) exec bin/fbbopt.exe -- optimize -d c5315 --ilp \
+	$(DUNE) exec bin/fbbopt.exe -- optimize -d c5315 --cascade \
 	  --trace fbbopt-trace.jsonl --profile-csv fbbopt-profile.csv
 	$(DUNE) exec bin/fbbopt.exe -- trace convert fbbopt-trace.jsonl \
 	  -o fbbopt-trace.chrome.json

@@ -41,14 +41,6 @@ let rows_arg =
   let doc = "Target standard-cell row count (default: benchmark's or square)." in
   Arg.(value & opt (some int) None & info [ "rows" ] ~docv:"N" ~doc)
 
-let ilp_arg =
-  let doc = "Also run the exact ILP (warm-started from the heuristic)." in
-  Arg.(value & flag & info [ "ilp" ] ~doc)
-
-let ilp_seconds_arg =
-  let doc = "ILP time budget in seconds." in
-  Arg.(value & opt float 60.0 & info [ "ilp-seconds" ] ~docv:"S" ~doc)
-
 let jobs_arg =
   let doc =
     "Width of the parallel domain pool (default: $(b,FBB_JOBS), else the \
@@ -294,7 +286,7 @@ let characterize_cmd =
 
 (* ----- optimize --------------------------------------------------------- *)
 
-let optimize design file beta_pct clusters rows run_ilp ilp_seconds svg ascii =
+let optimize design file beta_pct clusters rows svg ascii =
   let* pl = load_placement ~design ~file ~rows in
   report_placement pl;
   let beta = beta_pct /. 100.0 in
@@ -314,8 +306,8 @@ let optimize design file beta_pct clusters rows run_ilp ilp_seconds svg ascii =
     let single_bb_nw =
       Fbb_core.Solution.leakage_nw p (Fbb_core.Solution.uniform p jopt)
     in
-    let heur_levels = o.Fbb_core.Refine.levels in
-    let heur_nw = Fbb_core.Solution.leakage_nw p heur_levels in
+    let levels = o.Fbb_core.Refine.levels in
+    let heur_nw = Fbb_core.Solution.leakage_nw p levels in
     Printf.printf "Single BB baseline: vbs=%.2fV leakage %.3f uW\n"
       (Fbb_tech.Bias.voltage jopt)
       (single_bb_nw /. 1000.0);
@@ -327,36 +319,9 @@ let optimize design file beta_pct clusters rows run_ilp ilp_seconds svg ascii =
       (String.concat "/"
          (List.map
             (fun l -> Printf.sprintf "%.2fV" (Fbb_tech.Bias.voltage l))
-            (Fbb_core.Solution.clusters_used heur_levels)))
+            (Fbb_core.Solution.clusters_used levels)))
       (if o.Fbb_core.Refine.signoff_clean then "clean" else "NOT CLEAN")
       o.Fbb_core.Refine.iterations;
-    let final_levels = ref heur_levels in
-    if run_ilp then begin
-      let config =
-        {
-          Fbb_core.Ilp_opt.default_config with
-          max_clusters = clusters;
-          limits =
-            { Fbb_ilp.Branch_bound.max_nodes = 2_000_000;
-              max_seconds = ilp_seconds };
-        }
-      in
-      let r =
-        Fbb_core.Ilp_opt.optimize ~config ~warm_start:heur_levels p
-      in
-      match (r.Fbb_core.Ilp_opt.levels, r.Fbb_core.Ilp_opt.leakage_nw) with
-      | Some levels, Some leak ->
-        Printf.printf
-          "ILP (C=%d): leakage %.3f uW, savings %s%s (%d nodes, %.1fs)\n"
-          clusters (leak /. 1000.0)
-          (pct_str (Fbb_util.Stats.ratio_pct single_bb_nw leak))
-          (if r.Fbb_core.Ilp_opt.proved_optimal then " [optimal]"
-           else " [budget hit - best incumbent]")
-          r.Fbb_core.Ilp_opt.nodes r.Fbb_core.Ilp_opt.elapsed_s;
-        if r.Fbb_core.Ilp_opt.proved_optimal then final_levels := levels
-      | _, _ -> Printf.printf "ILP: no solution within budget\n"
-    end;
-    let levels = !final_levels in
     let area = Fbb_layout.Area.of_assignment pl ~levels in
     let rails = Fbb_layout.Bias_rails.insert pl ~levels in
     Printf.printf
@@ -430,6 +395,13 @@ let optimize_cascade design file beta_pct clusters rows ~deadline_ms ~work svg
       (match gap_pct with
       | Some g when not optimal -> Printf.sprintf " [gap <= %.1f%%]" g
       | Some _ | None -> "");
+    (* A from-scratch full STA of the biased netlist, independent of the
+       incremental context the cascade signed off with. *)
+    let clean, _ = Fbb_core.Refine.signoff r.Fbb_core.Cascade.problem ~levels in
+    Printf.printf "signoff %s (%d path(s) folded into the constraint set)\n"
+      (if clean then "clean" else "NOT CLEAN")
+      (Fbb_core.Problem.num_paths r.Fbb_core.Cascade.problem
+      - Fbb_core.Problem.num_paths p);
     if ascii then print_string (Fbb_layout.Render.ascii pl ~levels);
     Option.iter
       (fun path ->
@@ -440,9 +412,9 @@ let optimize_cascade design file beta_pct clusters rows ~deadline_ms ~work svg
 
 let cascade_arg =
   let doc =
-    "Run the anytime fallback cascade (ilp, heuristic, single BB) with \
-     independent sign-off instead of the refinement flow. Implied by \
-     $(b,--deadline-ms) and $(b,--work-budget)."
+    "Run the exact anytime cascade (ilp, heuristic, single BB), each stage \
+     inside the full-STA sign-off loop, instead of the heuristic \
+     refinement flow. Implied by $(b,--deadline-ms) and $(b,--work-budget)."
   in
   Arg.(value & flag & info [ "cascade" ] ~doc)
 
@@ -462,7 +434,7 @@ let work_budget_arg =
   Arg.(value & opt (some int) None & info [ "work-budget" ] ~docv:"N" ~doc)
 
 let optimize_cmd =
-  let run d f b c r i s svg ascii cascade deadline_ms work jobs trace profile
+  let run d f b c r svg ascii cascade deadline_ms work jobs trace profile
       profile_csv telemetry telemetry_tick_ms =
     set_jobs jobs;
     let use_cascade = cascade || deadline_ms <> None || work <> None in
@@ -471,7 +443,7 @@ let optimize_cmd =
         ~profile ~profile_csv (fun () ->
           if use_cascade then
             optimize_cascade d f b c r ~deadline_ms ~work svg ascii
-          else optimize d f b c r i s svg ascii)
+          else optimize d f b c r svg ascii)
     with
     | Ok () -> `Ok ()
     | Error m | (exception (Sys_error m | Invalid_argument m)) ->
@@ -483,7 +455,7 @@ let optimize_cmd =
     Term.(
       ret
         (const run $ design_arg $ bench_file_arg $ beta_arg $ clusters_arg
-        $ rows_arg $ ilp_arg $ ilp_seconds_arg $ svg_arg $ ascii_arg
+        $ rows_arg $ svg_arg $ ascii_arg
         $ cascade_arg $ deadline_arg $ work_budget_arg
         $ jobs_arg $ trace_arg $ profile_arg $ profile_csv_arg
         $ telemetry_arg $ telemetry_tick_arg))

@@ -36,6 +36,7 @@ type result = {
   outcome : outcome;
   attempts : attempt list;
   exhausted : bool;
+  problem : Problem.t;
 }
 
 let stages_c = Fbb_obs.Counter.make "cascade.stages"
@@ -44,10 +45,10 @@ let rejected_c = Fbb_obs.Counter.make "cascade.rejected"
 let crashed_c = Fbb_obs.Counter.make "cascade.crashed"
 let exhausted_c = Fbb_obs.Counter.make "cascade.exhausted"
 
-(* The sign-off deliberately mirrors the oracle's plain-loop style
-   rather than calling [Solution.meets_timing]: an acceptance decision
-   must not share code with the machinery that produced the candidate,
-   or a common bug signs off its own output. *)
+(* The plain-loop check deliberately mirrors the oracle's style rather
+   than calling [Solution.meets_timing]: an acceptance decision must not
+   share code with the machinery that produced the candidate, or a
+   common bug signs off its own output. *)
 let verify p ~max_clusters levels =
   let nrows = Problem.num_rows p in
   let nlev = Problem.num_levels p in
@@ -149,6 +150,9 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
   if max_clusters < 1 then invalid_arg "Cascade.solve: C must be >= 1";
   Fbb_obs.Span.with_ ~name:"cascade.solve" @@ fun () ->
   let lb = lower_bound p in
+  (* Enough refinement iterations for the floor to climb every level. *)
+  let max_iterations = Problem.num_levels p + 1 in
+  let carried = ref p in
   let attempts = ref [] in
   let winner = ref None in
   let record a = attempts := a :: !attempts in
@@ -181,20 +185,24 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
         in
         match
           Fbb_obs.Span.with_ ~name:("cascade." ^ stage_name stage) (fun () ->
-              runner ~budget:sb p)
+              Refine.solve ~max_iterations ~solver:(runner ~budget:sb)
+                ~levels_of:(fun c -> c.c_levels) !carried)
         with
-        | cand ->
+        | cand, refined ->
           (* Charge the stage's ticks back to the shared budget; the
              child was only an allowance, not an account. *)
           let spent = B.work_used sb in
           B.consume budget spent;
-          (match cand.c_levels with
+          (match refined with
           | None ->
             if cand.c_truncated then finish Exhausted None spent
             else finish No_candidate None spent
-          | Some levels ->
+          | Some o ->
+            carried := o.Refine.problem;
+            let levels = o.Refine.levels in
             let leak = Solution.leakage_nw p levels in
-            if verify p ~max_clusters levels then begin
+            if o.Refine.signoff_clean && verify !carried ~max_clusters levels
+            then begin
               winner := Some (stage, levels, leak, cand.c_optimal);
               finish Accepted (Some leak) spent
             end
@@ -206,9 +214,9 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
       end
     end
   in
-  attempt Ilp (fun ~budget p -> run_ilp ~max_clusters ~budget p);
-  attempt Heuristic (fun ~budget p -> run_heuristic ~max_clusters ~budget p);
-  attempt Single_bb (fun ~budget:_ p -> run_single_bb p);
+  attempt Ilp (run_ilp ~max_clusters);
+  attempt Heuristic (run_heuristic ~max_clusters);
+  attempt Single_bb (fun ~budget:_ q -> run_single_bb q);
   let outcome =
     match !winner with
     | Some (stage, levels, leakage_nw, optimal) ->
@@ -221,9 +229,16 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
           optimal;
         }
     | None ->
-      (* Every stage fell through; the floor only declines when
-         [max_single_level] is [None], which is the exact infeasibility
-         proof (a uniform assignment uses one cluster, and C >= 1). *)
+      (* Every stage fell through. The floor refines until its uniform
+         level signs off or the carried problem has no feasible uniform
+         level, so it only declines on [max_single_level = None]: the
+         exact infeasibility proof (a uniform assignment uses one
+         cluster, and C >= 1). *)
       Infeasible
   in
-  { outcome; attempts = List.rev !attempts; exhausted = B.exhausted budget }
+  {
+    outcome;
+    attempts = List.rev !attempts;
+    exhausted = B.exhausted budget;
+    problem = !carried;
+  }

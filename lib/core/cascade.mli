@@ -6,17 +6,24 @@
     {v ilp -> heuristic -> single BB v}
 
     under one shared {!Fbb_util.Budget}, carving each stage a fraction
-    of whatever allowance remains when it starts. A stage's candidate
-    is only {e accepted} after an independent sign-off — a plain-loop
-    feasibility, range and cluster-count check that shares nothing with
-    the solvers' incremental machinery — and the first signed-off
-    candidate wins. The final [Single_bb] stage is the unconditional
-    floor: it runs even with the budget fully exhausted (it is
-    pool-free and linear-time), so the cascade never hangs and always
-    returns either a signed-off feasible assignment or a typed
-    infeasibility. Infeasibility is only ever claimed through the exact
-    {!Problem.max_single_level} proof, never inferred from a budget or
-    a crash.
+    of whatever allowance remains when it starts. Every stage runs as
+    the solver inside {!Refine.solve}, within its budget slice: a
+    candidate that misses timing under full STA of the biased netlist
+    folds its violating paths into the request's own problem (through
+    {!Problem.extend}, which never touches the shared
+    {!Problem.design}) and is re-solved. That problem carries from stage
+    to stage and is handed back in {!result}. A candidate is
+    {e accepted} only when its refinement signs off clean {e and} it
+    passes {!verify} — a plain-loop feasibility, range and cluster-count
+    check on the carried problem that shares nothing with the solvers'
+    incremental machinery — and the first accepted candidate wins. The
+    final [Single_bb] stage is the unconditional floor: it runs even
+    with the budget fully exhausted (it is pool-free and linear-time per
+    iteration) and climbs uniform levels until one signs off, so the
+    cascade never hangs and always returns either a signed-off feasible
+    assignment or a typed infeasibility. Infeasibility is only ever
+    claimed through the exact {!Problem.max_single_level} proof on the
+    carried problem, never inferred from a budget or a crash.
 
     Each stage attempt is recorded — stage, status, budget spent,
     leakage — forming the degradation report the CLI prints and the
@@ -34,9 +41,11 @@ val stage_name : stage -> string
 (** ["ilp"], ["heuristic"], ["single_bb"]. *)
 
 type status =
-  | Accepted  (** candidate passed sign-off and won *)
+  | Accepted  (** candidate signed off and won *)
   | No_candidate  (** stage finished without producing an assignment *)
-  | Rejected  (** candidate failed the independent sign-off *)
+  | Rejected
+      (** the stage's refinement ended without a clean full-STA
+          sign-off, or its candidate failed {!verify} *)
   | Exhausted  (** stage budget tripped before a usable candidate *)
   | Crashed of string  (** stage raised; the exception, printed *)
 
@@ -57,20 +66,28 @@ type outcome =
           (** optimality-gap bound vs the row-wise leakage lower bound
               [sum_i min_j L(i,j)]; [Some 0.] when the ILP proved
               optimality, [None] when the lower bound is not positive *)
-      optimal : bool;  (** the ILP stage proved this optimal *)
+      optimal : bool;
+          (** the ILP stage proved this optimal on the carried
+              {!result.problem} *)
     }
   | Infeasible
       (** proved exactly: not even the highest uniform level meets
-          timing ([Problem.max_single_level = None]) *)
+          timing ([Problem.max_single_level = None] on the carried
+          {!result.problem}) *)
 
 type result = {
   outcome : outcome;
   attempts : attempt list;  (** in execution order *)
   exhausted : bool;  (** the shared budget had tripped by the end *)
+  problem : Problem.t;
+      (** the carried problem: the input plus every path the stages'
+          sign-offs folded in. A [Solved] assignment meets all of its
+          constraints; [Infeasible] means it has no feasible uniform
+          level. *)
 }
 
 val verify : Problem.t -> max_clusters:int -> int array -> bool
-(** The sign-off: right length, every level in range, at most
+(** The plain-loop check: right length, every level in range, at most
     [max_clusters] distinct levels, and every path's required reduction
     met — all recomputed with plain loops over the problem tables. *)
 

@@ -94,51 +94,28 @@ let evaluate ?(cs = [ 2; 3 ]) ?(run_ilp = true) ?ilp_limits prepared ~beta =
               (fun (r : Heuristic.result) -> r.Heuristic.levels)
               (List.assoc_opt c heuristic)
           in
-          let last = ref None in
-          let nodes = ref 0 in
-          let elapsed = ref 0.0 in
-          let solver q =
-            let r = Ilp_opt.optimize ~config ?warm_start q in
-            nodes := !nodes + r.Ilp_opt.nodes;
-            elapsed := !elapsed +. r.Ilp_opt.elapsed_s;
-            last := Some r;
-            if r.Ilp_opt.proved_optimal then r.Ilp_opt.levels else None
+          (* Only a proof counts as an answer: an unproved incumbent
+             would make Table 1 print a number it cannot back. *)
+          let r, refined_ilp =
+            Refine.solve ~max_iterations:4
+              ~solver:(Ilp_opt.optimize ~config ?warm_start)
+              ~levels_of:(fun (r : Ilp_opt.result) ->
+                if r.Ilp_opt.proved_optimal then r.Ilp_opt.levels else None)
+              p0
           in
-          let refined_ilp = Refine.solve ~max_iterations:4 ~solver p0 in
-          match (refined_ilp, !last) with
-          | Some o, Some r when o.Refine.signoff_clean ->
+          match refined_ilp with
+          | Some o when o.Refine.signoff_clean ->
             ( c,
               {
                 r with
-                Ilp_opt.levels = Some o.Refine.levels;
-                leakage_nw = Some (Solution.leakage_nw p o.Refine.levels);
-                nodes = !nodes;
-                elapsed_s = !elapsed;
+                Ilp_opt.leakage_nw =
+                  Some (Solution.leakage_nw p o.Refine.levels);
               } )
-          | _, Some r ->
+          | Some _ | None ->
             (* Not proved within budget (or signoff never closed): keep the
                solver metadata but report it as a timeout, the paper's "-"
                case. *)
-            ( c,
-              {
-                r with
-                Ilp_opt.proved_optimal = false;
-                timed_out = true;
-                nodes = !nodes;
-                elapsed_s = !elapsed;
-              } )
-          | _, None ->
-            ( c,
-              {
-                Ilp_opt.levels = None;
-                leakage_nw = None;
-                proved_optimal = false;
-                timed_out = true;
-                nodes = 0;
-                elapsed_s = 0.0;
-                constraints_total = Problem.num_paths p;
-                constraints_solved = 0;
-              } ))
+            (c, { r with Ilp_opt.proved_optimal = false; timed_out = true }))
         cs
   in
   { beta; constraints = Problem.num_paths p; jopt; single_bb_nw; heuristic; ilp }

@@ -36,7 +36,10 @@ val evaluate :
   evaluation
 (** Run the optimizers for each cluster budget in [cs] (default [[2; 3]]).
     The ILP (run when [run_ilp], default true) is warm-started from the
-    heuristic solution of the same C. *)
+    heuristic solution of the same C. Both run inside {!Refine.solve}; an
+    ILP entry is the result of the last refinement iteration's solve (its
+    [nodes] count that solve only), reported as a timeout unless it
+    proved optimality and signed off clean. *)
 
 val ilp_savings_pct : evaluation -> c:int -> float option
 (** ILP leakage saving vs the Single BB baseline; [None] when the ILP

@@ -20,15 +20,10 @@ type result = {
   proved_optimal : bool;
   timed_out : bool;
   nodes : int;
-  elapsed_s : float;
   constraints_total : int;
   constraints_solved : int;
 }
 
-(* Timing constraint k is implied by k' when k' requires at least as much
-   reduction while every row offers it at most as much raw delay: any x
-   satisfying k' then satisfies k. Dropping implied constraints is
-   lossless. *)
 (* (row, delay) pair view of a sparse row vector, for the cold
    constraint-emission paths below. *)
 let pairs rv =
@@ -41,6 +36,10 @@ let subsets_pruned_c = Fbb_obs.Counter.make "ilp.subsets_pruned"
 let constraints_dropped_c = Fbb_obs.Counter.make "ilp.constraints_dropped"
 let reduce_faults_c = Fbb_obs.Counter.make "ilp.reduce_faults"
 
+(* Timing constraint k is implied by k' when k' requires at least as much
+   reduction while every row offers it at most as much raw delay: any x
+   satisfying k' then satisfies k. Dropping implied constraints is
+   lossless. *)
 let reduce_paths p =
   Fbb_obs.Span.with_ ~name:"ilp.reduce_paths" @@ fun () ->
   let m = Problem.num_paths p in
@@ -230,11 +229,14 @@ let optimize_enumerate config ?warm_start p ~kept =
   Fbb_obs.Span.with_ ~name:"ilp.enumerate" @@ fun () ->
   let start = Fbb_obs.Clock.now_s () in
   let nrows = Problem.num_rows p in
+  let warm_start =
+    match warm_start with
+    | Some levels when Solution.meets_timing p levels -> Some levels
+    | Some _ | None -> None
+  in
   let best = ref None in
   (match warm_start with
-  | Some levels
-    when Solution.cluster_count levels <= config.max_clusters
-         && Solution.meets_timing p levels ->
+  | Some levels when Solution.cluster_count levels <= config.max_clusters ->
     best := Some (Array.copy levels, Solution.leakage_nw p levels)
   | Some _ | None -> ());
   let jopt = Problem.max_single_level p in
@@ -289,7 +291,7 @@ let optimize_enumerate config ?warm_start p ~kept =
             let problem, s = formulate_subset p ~kept ~subset in
             let incumbent =
               match warm_start with
-              | Some levels when Solution.meets_timing p levels ->
+              | Some levels ->
                 let proj = project_levels subset levels in
                 let v = Array.make problem.BB.num_vars 0.0 in
                 Array.iteri
@@ -300,7 +302,7 @@ let optimize_enumerate config ?warm_start p ~kept =
                   Solution.meets_timing p lv
                 in
                 if ok then Some v else None
-              | Some _ | None -> None
+              | None -> None
             in
             let cutoff = Option.map snd !best in
             let limits =
@@ -341,7 +343,6 @@ let optimize_enumerate config ?warm_start p ~kept =
     proved_optimal = !all_proved;
     timed_out = not !all_proved;
     nodes = !nodes;
-    elapsed_s = Fbb_obs.Clock.now_s () -. start;
     constraints_total = Problem.num_paths p;
     constraints_solved = List.length kept;
   }

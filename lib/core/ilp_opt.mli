@@ -44,7 +44,6 @@ type result = {
   proved_optimal : bool;
   timed_out : bool;  (** node or time limit hit — the paper's "-" case *)
   nodes : int;
-  elapsed_s : float;
   constraints_total : int;  (** paper's No.Constr: |Pi| *)
   constraints_solved : int;  (** after dominance reduction *)
 }

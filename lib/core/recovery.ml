@@ -105,9 +105,9 @@ let optimize ?(max_clusters = 2) ?(max_iterations = 8) p =
      answers. *)
   let o =
     Option.get
-      (Refine.solve ~max_iterations
-         ~solver:(fun q -> Some (greedy ~max_clusters q))
-         p)
+      (snd
+         (Refine.solve ~max_iterations ~solver:(greedy ~max_clusters)
+            ~levels_of:Option.some p))
   in
   let nominal = Solution.leakage_nw p (Solution.uniform p 0) in
   let recovered = Solution.leakage_nw p o.Refine.levels in

@@ -43,84 +43,80 @@ let signoff p ~levels =
   in
   offenders_of p biased
 
-(* Sign-off through the solve loop's reused incremental context: only
-   rows the solver moved since the previous iteration re-propagate. *)
+(* Sign-off through the solve loop's one incremental context. The first
+   iteration builds it at its own bias, so a loop that signs off at once
+   costs one propagation; later iterations re-propagate only the rows the
+   solver moved. [extend] keeps the design and beta, so the frozen derate
+   stays valid across iterations, and the design's delay cache spares a
+   fresh table build. *)
 let signoff_incr ctx p ~levels =
   Fbb_obs.Span.with_ ~name:"refine.signoff" @@ fun () ->
-  let biased = Timing.Incremental.set_bias ctx (row_bias p levels) in
+  let bias = row_bias p levels in
+  let biased =
+    match !ctx with
+    | Some c -> Timing.Incremental.set_bias c bias
+    | None ->
+      let beta = p.Problem.beta in
+      let c =
+        Timing.Incremental.create ~cache:p.Problem.design.cache
+          ~derate:(fun _ -> 1.0 +. beta)
+          ~bias
+          (Placement.netlist p.Problem.design.placement)
+      in
+      ctx := Some c;
+      Timing.Incremental.analysis c
+  in
   offenders_of p biased
 
-let solve ?(max_iterations = 10) ~solver p0 =
+let solve ?(max_iterations = 10) ~solver ~levels_of p0 =
   Fbb_obs.Span.with_ ~name:"refine.solve" @@ fun () ->
-  (* One context for the whole loop: [extend] keeps the design and beta,
-     so the frozen derate stays valid across iterations. The design's
-     delay cache spares a fresh table build here. *)
-  let ctx =
-    lazy
-      (let beta = p0.Problem.beta in
-       Timing.Incremental.create ~cache:p0.Problem.design.cache
-         ~derate:(fun _ -> 1.0 +. beta)
-         (Placement.netlist p0.Problem.design.placement))
-  in
+  let ctx = ref None in
   let rec loop p iterations added last =
     Fbb_obs.Counter.incr iterations_c;
-    match solver p with
-    | None -> begin
-      match last with
-      | None -> None
-      | Some levels ->
-        (* A previous iteration succeeded but the extension made the
-           problem unsolvable for this solver; report that last solution,
-           honestly marked as failing signoff. *)
+    let r = solver p in
+    let stop levels iterations signoff_clean =
+      ( r,
         Some
           {
             problem = p;
             levels;
             iterations;
             added_constraints = added;
-            signoff_clean = false;
-          }
-    end
+            signoff_clean;
+          } )
+    in
+    match levels_of r with
+    | None -> (
+      match last with
+      | None -> (r, None)
+      | Some levels ->
+        (* A previous iteration succeeded but the extension made the
+           problem unsolvable for this solver; report that last solution,
+           honestly marked as failing signoff. *)
+        stop levels iterations false)
     | Some levels ->
-      let clean, offenders = signoff_incr (Lazy.force ctx) p ~levels in
+      let clean, offenders = signoff_incr ctx p ~levels in
       if clean || iterations + 1 >= max_iterations then
-        Some
-          {
-            problem = p;
-            levels;
-            iterations = iterations + 1;
-            added_constraints = added;
-            signoff_clean = clean;
-          }
+        stop levels (iterations + 1) clean
       else begin
         let p' = Problem.extend p offenders in
-        if Problem.num_paths p' = Problem.num_paths p then
+        let fresh = Problem.num_paths p' - Problem.num_paths p in
+        if fresh = 0 then
           (* Nothing new to add: the violation is below the extension
              threshold; stop honestly. *)
-          Some
-            {
-              problem = p;
-              levels;
-              iterations = iterations + 1;
-              added_constraints = added;
-              signoff_clean = false;
-            }
+          stop levels (iterations + 1) false
         else begin
-          Fbb_obs.Counter.add constraints_added_c
-            (Problem.num_paths p' - Problem.num_paths p);
-          loop p'
-            (iterations + 1)
-            (added + Problem.num_paths p' - Problem.num_paths p)
-            (Some levels)
+          Fbb_obs.Counter.add constraints_added_c fresh;
+          loop p' (iterations + 1) (added + fresh) (Some levels)
         end
       end
   in
   loop p0 0 0 None
 
 let heuristic ?max_clusters ?max_iterations p =
-  solve ?max_iterations
-    ~solver:(fun p ->
-      Option.map
-        (fun (r : Heuristic.result) -> r.Heuristic.levels)
-        (Heuristic.optimize ?max_clusters p))
-    p
+  snd
+    (solve ?max_iterations
+       ~solver:(fun q -> Heuristic.optimize ?max_clusters q)
+       ~levels_of:
+         (Option.map (fun (r : Heuristic.result) -> r.Heuristic.levels))
+       p)

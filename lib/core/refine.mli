@@ -8,6 +8,8 @@
     path abstraction), fold any still-violating paths back into Pi, and
     re-solve, until signoff is clean or the iteration cap is hit.
 
+    It is the one acceptance loop: Table 1's optimizers ({!Flow}), every
+    {!Cascade} stage and RBB recovery ({!Recovery}) all run inside it.
     Both the heuristic and the exact solver converge within a couple of
     iterations on the benchmark suite (see the refinement tests). *)
 
@@ -28,11 +30,15 @@ val signoff :
 
 val solve :
   ?max_iterations:int ->
-  solver:(Problem.t -> int array option) ->
+  solver:(Problem.t -> 'r) ->
+  levels_of:('r -> int array option) ->
   Problem.t ->
-  outcome option
-(** Generic refinement loop ([max_iterations] defaults to 10); [None] when
-    the solver itself returns [None] on the initial problem. *)
+  'r * outcome option
+(** Generic refinement loop ([max_iterations] defaults to 10) around any
+    solver whose result [levels_of] reads an assignment from. Returns the
+    solver's own last result, on [outcome.problem], alongside the
+    outcome; the outcome is [None] when the solver's first result has no
+    assignment. *)
 
 val heuristic :
   ?max_clusters:int -> ?max_iterations:int -> Problem.t -> outcome option

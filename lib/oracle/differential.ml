@@ -84,34 +84,40 @@ let run_cascade ?(max_clusters = 2) ?budget case =
       fail "cascade: escaped exception %s" (Printexc.to_string e);
       finish None
     | r ->
+      (* Everything is refereed on the carried problem: the cascade's
+         answer must meet the paths its sign-offs folded in, and an
+         optimality claim is a claim about that problem. *)
+      let rp = r.Cascade.problem in
       Fbb_fault.Fault.with_paused (fun () ->
-          let msl = Problem.max_single_level p in
+          let msl = Problem.max_single_level rp in
           (match r.Cascade.outcome with
           | Cascade.Infeasible ->
             if msl <> None then
               fail
                 "cascade: claims infeasible but a uniform feasible level \
                  exists";
-            if Oracle.tractable ~max_clusters:c p then (
-              match Oracle.solve ~max_clusters:c p with
+            if Oracle.tractable ~max_clusters:c rp then (
+              match Oracle.solve ~max_clusters:c rp with
               | Oracle.Optimal opt ->
                 fail
                   "cascade: claims infeasible, oracle optimum is %.9f nW"
                   opt.Oracle.leakage_nw
               | Oracle.Infeasible -> ())
           | Cascade.Solved { stage; levels; leakage_nw; optimal; _ } ->
-            if not (Cascade.verify p ~max_clusters:c levels) then
+            if not (Cascade.verify rp ~max_clusters:c levels) then
               fail "cascade: accepted assignment fails independent sign-off";
             List.iter (fun m -> fail "cascade: %s" m)
               (Invariant.check ~max_clusters:c
-                 ~reported_leakage_nw:leakage_nw p ~levels);
+                 ~reported_leakage_nw:leakage_nw rp ~levels);
+            List.iter (fun m -> fail "cascade: %s" m)
+              (Invariant.signoff rp ~levels);
             if msl = None then
               fail
                 "cascade: returned a solution although no uniform level is \
                  feasible (stage %s)"
                 (Cascade.stage_name stage);
-            if Oracle.tractable ~max_clusters:c p then (
-              match Oracle.solve ~max_clusters:c p with
+            if Oracle.tractable ~max_clusters:c rp then (
+              match Oracle.solve ~max_clusters:c rp with
               | Oracle.Infeasible ->
                 fail "cascade: solved an instance the oracle proves infeasible"
               | Oracle.Optimal opt ->

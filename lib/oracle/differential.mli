@@ -74,16 +74,19 @@ type cascade_report = {
       (** [None] when the cascade itself crashed — always a failure,
           since containing stage crashes is the cascade's contract *)
   c_optimum_nw : float option;
-      (** the oracle optimum, on tractable feasible instances *)
+      (** the oracle optimum of the cascade's carried problem, on
+          tractable feasible instances *)
   c_failures : string list;  (** empty = all checks passed *)
 }
 
 val run_cascade :
   ?max_clusters:int -> ?budget:Fbb_util.Budget.t -> Case.t -> cascade_report
-(** Checks, for [Solved]: the independent sign-off and invariant
-    checker accept the assignment, and on oracle-sized instances the
-    leakage never beats the oracle optimum (with equality required of
-    an optimality claim). For [Infeasible]: [max_single_level] is
-    [None] and the oracle agrees. *)
+(** Everything is judged on the cascade's carried
+    {!Fbb_core.Cascade.result.problem}. Checks, for [Solved]:
+    {!Fbb_core.Cascade.verify}, the invariant checker and the full-STA
+    {!Invariant.signoff} accept the assignment, and on oracle-sized
+    instances the leakage never beats the oracle optimum (with equality
+    required of an optimality claim). For [Infeasible]:
+    [max_single_level] is [None] and the oracle agrees. *)
 
 val cascade_failed : cascade_report -> bool

@@ -28,7 +28,8 @@ val signoff : Fbb_core.Problem.t -> levels:int array -> string list
 (** Full-STA re-verification: re-time the placed netlist under the
     degraded conditions with the bias applied (an independent
     [Fbb_sta.Timing.analyze] run, no path abstraction) and require the
-    critical delay to stay within the problem's [dcrit]. Only meaningful
-    for refinement outcomes — raw Pi-constrained solutions may
-    legitimately fail it; that is exactly the gap {!Fbb_core.Refine}
-    closes. *)
+    critical delay to stay within the problem's [dcrit]. Every answer
+    {!Fbb_core.Refine.solve} reports clean — and so every accepted
+    {!Fbb_core.Cascade} answer — must pass it. Only raw solver output,
+    constrained by Pi alone, may legitimately fail it; that is exactly
+    the gap {!Fbb_core.Refine} closes. *)

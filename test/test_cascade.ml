@@ -1,6 +1,7 @@
 (* Tests for the degradation cascade (Fbb_core.Cascade): stage
-   selection under loose/tight/zero budgets, the independent sign-off,
-   infeasibility proofs and fault-forced degradation. *)
+   selection under loose/tight/zero budgets, the independent checks,
+   full-STA sign-off of accepted answers, infeasibility proofs and
+   fault-forced degradation. *)
 
 module Cascade = Fbb_core.Cascade
 module Budget = Fbb_util.Budget
@@ -169,6 +170,73 @@ let test_ilp_stage_survives_worker_faults () =
       (Cascade.verify p ~max_clusters:2 levels)
   | Cascade.Infeasible -> Alcotest.fail "feasible instance reported infeasible"
 
+(* ----- full-STA sign-off of every accepted answer ---------------------- *)
+
+let uniform_level levels =
+  Alcotest.(check bool) "floor answer is uniform" true
+    (Array.for_all (( = ) levels.(0)) levels);
+  levels.(0)
+
+(* The Pi-only optimum of c1355 at 5 % misses Dcrit on the real netlist;
+   the accepted answer must sign off under an independent full STA. *)
+let test_c1355_signs_off () =
+  let prepared = Fbb_core.Flow.prepare (Fbb_netlist.Benchmarks.find "c1355") in
+  let p = Fbb_core.Flow.problem prepared ~beta:0.05 in
+  let r =
+    Cascade.solve ~max_clusters:2 ~budget:(Budget.create ~work:200_000 ()) p
+  in
+  match r.Cascade.outcome with
+  | Cascade.Solved { stage; levels; optimal; _ } ->
+    Alcotest.(check bool) "ilp answers" true (stage = Cascade.Ilp && optimal);
+    Alcotest.(check (list string)) "full-STA sign-off" []
+      (Fbb_oracle.Invariant.signoff p ~levels);
+    Alcotest.(check bool) "violating paths folded in" true
+      (Problem.num_paths r.Cascade.problem > Problem.num_paths p);
+    Alcotest.(check bool) "meets the carried problem" true
+      (Cascade.verify r.Cascade.problem ~max_clusters:2 levels)
+  | Cascade.Infeasible -> Alcotest.fail "c1355 reported infeasible"
+
+let least_demanding beta =
+  let p = Tsupport.small_problem ~beta () in
+  (p, Tsupport.least_demanding_cut p)
+
+let test_floor_is_raised () =
+  let p, cut = least_demanding 0.16 in
+  let full = Option.get (Problem.max_single_level p) in
+  Alcotest.(check bool) "the cut set asks for a lower level" true
+    (Option.get (Problem.max_single_level cut) < full);
+  let r = Cascade.solve ~budget:(Budget.create ~work:0 ()) cut in
+  match r.Cascade.outcome with
+  | Cascade.Solved { stage; levels; _ } ->
+    Alcotest.(check bool) "the floor answers" true (stage = Cascade.Single_bb);
+    Alcotest.(check int) "raised to the lowest level that signs off" full
+      (uniform_level levels);
+    Alcotest.(check (list string)) "full-STA sign-off" []
+      (Fbb_oracle.Invariant.signoff p ~levels)
+  | Cascade.Infeasible -> Alcotest.fail "feasible instance reported infeasible"
+
+let test_infeasible_iff_top_level_fails () =
+  (* 0.24 is the last slowdown the highest level still compensates. *)
+  List.iter
+    (fun beta ->
+      let p, cut = least_demanding beta in
+      Alcotest.(check bool) "the cut set has a feasible uniform level" true
+        (Problem.max_single_level cut <> None);
+      let top = Problem.num_levels p - 1 in
+      let top_fails =
+        Fbb_oracle.Invariant.signoff p ~levels:(Fbb_core.Solution.uniform p top)
+        <> []
+      in
+      let r = Cascade.solve ~budget:(Budget.create ~work:0 ()) cut in
+      Alcotest.(check bool)
+        (Printf.sprintf "beta %g: infeasible iff the highest level fails" beta)
+        top_fails
+        (r.Cascade.outcome = Cascade.Infeasible);
+      if top_fails then
+        Alcotest.(check bool) "proved on the carried problem" true
+          (Problem.max_single_level r.Cascade.problem = None))
+    [ 0.24; 0.28 ]
+
 let suite =
   [
     ("unlimited budget is exact", `Quick, test_unlimited_budget_is_exact);
@@ -182,4 +250,8 @@ let suite =
     ("b&b survives worker faults", `Quick, test_bb_survives_worker_faults);
     ("ilp stage survives worker faults", `Quick,
      test_ilp_stage_survives_worker_faults);
+    ("c1355 answer signs off", `Quick, test_c1355_signs_off);
+    ("floor is raised until it signs off", `Quick, test_floor_is_raised);
+    ("infeasible iff the highest level fails", `Quick,
+     test_infeasible_iff_top_level_fails);
   ]

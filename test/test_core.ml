@@ -389,15 +389,17 @@ let test_refine_generic_solver () =
      one iteration. *)
   let o =
     Option.get
-      (Fbb_core.Refine.solve
-         ~solver:(fun q -> Some (Solution.uniform q 10))
-         p)
+      (snd
+         (Fbb_core.Refine.solve
+            ~solver:(fun q -> Some (Solution.uniform q 10))
+            ~levels_of:Fun.id p))
   in
   Alcotest.(check int) "one iteration" 1 o.Fbb_core.Refine.iterations;
   Alcotest.(check bool) "clean" true o.Fbb_core.Refine.signoff_clean;
   (* A solver that always fails propagates None. *)
   Alcotest.(check bool) "none propagates" true
-    (Fbb_core.Refine.solve ~solver:(fun _ -> None) p = None)
+    (snd (Fbb_core.Refine.solve ~solver:(fun _ -> None) ~levels_of:Fun.id p)
+    = None)
 
 let test_heuristic_bad_c () =
   let p = problem () in
@@ -465,6 +467,14 @@ let test_shared_design_bit_identical () =
         (same sequential.(i) fresh);
       Alcotest.(check bool) (name ^ ", pooled") true (same pooled.(i) fresh))
     grid;
+  (* A request whose sign-off folds paths in extends its own problem
+     only. *)
+  let r =
+    Fbb_core.Cascade.solve
+      (Tsupport.least_demanding_cut (Problem.pose ~beta:0.16 d))
+  in
+  Alcotest.(check bool) "the request refined" true
+    (Problem.num_paths r.Fbb_core.Cascade.problem > 1);
   Alcotest.(check bool) "design unchanged" true
     (Marshal.to_string d [] = before)
 
@@ -553,7 +563,10 @@ let test_refine_feasible_noop () =
   let p = problem () in
   let o =
     Option.get
-      (Fbb_core.Refine.solve ~solver:(fun q -> Some (Solution.uniform q 10)) p)
+      (snd
+         (Fbb_core.Refine.solve
+            ~solver:(fun q -> Some (Solution.uniform q 10))
+            ~levels_of:Fun.id p))
   in
   Alcotest.(check int) "one iteration" 1 o.Fbb_core.Refine.iterations;
   Alcotest.(check int) "no added constraints" 0

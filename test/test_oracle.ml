@@ -223,6 +223,25 @@ let test_single_cluster_equals_single_bb =
              (h.Heuristic.leakage_nw -. Solution.leakage_nw p uniform)
            <= 1e-9 *. Float.max 1.0 h.Heuristic.leakage_nw)
 
+(* Cut to one path, the Pi-only optimum of this case misses Dcrit on the
+   real netlist: the referee must see the cascade refine it to a
+   signed-off answer, and would report an accepted Pi-only one. *)
+let test_cascade_referee_signs_off () =
+  let c = case ~max_paths:1 ~seed:5 ~gates:60 ~rows:3 () in
+  let p = Case.build c in
+  let raw = Option.get (Fbb_core.Ilp_opt.optimize p).Fbb_core.Ilp_opt.levels in
+  Alcotest.(check bool) "the Pi-only optimum fails sign-off" true
+    (Invariant.signoff p ~levels:raw <> []);
+  let r = Differential.run_cascade c in
+  Alcotest.(check (list string)) "referee clean" [] r.Differential.c_failures;
+  match r.Differential.c_result with
+  | Some res ->
+    Alcotest.(check bool) "paths folded in" true
+      (Problem.num_paths res.Fbb_core.Cascade.problem > Problem.num_paths p);
+    Alcotest.(check bool) "refereed against the oracle" true
+      (r.Differential.c_optimum_nw <> None)
+  | None -> Alcotest.fail "cascade crashed"
+
 let suite =
   [
     ("oracle matches proved-optimal bb", `Quick, test_oracle_matches_bb);
@@ -232,6 +251,7 @@ let suite =
     ("oracle tractability gate", `Quick, test_oracle_tractability_gate);
     ("oracle respects cluster budget", `Quick, test_oracle_respects_budget);
     ("corpus replays clean", `Quick, test_corpus_replays_clean);
+    ("cascade referee signs off", `Quick, test_cascade_referee_signs_off);
     ("case serialization roundtrip", `Quick, test_case_roundtrip);
     ("shrinker minimizes greedily", `Quick, test_shrink_minimizes);
     ("optimum invariant under row reversal", `Quick, test_permutation_invariance);

@@ -9,11 +9,6 @@ let out_path name =
   ensure_out_dir ();
   Filename.concat out_dir name
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( match float_of_string_opt v with Some f -> f | None -> default)
-  | None -> default
-
 let env_flag name = Sys.getenv_opt name <> None
 
 let env_int name default =
@@ -21,21 +16,10 @@ let env_int name default =
   | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
   | None -> default
 
-let ilp_seconds () = env_float "FBB_ILP_SECONDS" 90.0
-
-let ilp_limits () =
-  {
-    Fbb_ilp.Branch_bound.max_nodes = 2_000_000;
-    max_seconds = ilp_seconds ();
-  }
-
-(* Shorter budget used only to demonstrate the paper's "-" (no
-   convergence) on Industrial2/3 without stalling the whole run. *)
-let ilp_limits_intractable () =
-  {
-    Fbb_ilp.Branch_bound.max_nodes = 2_000_000;
-    max_seconds = Float.min 20.0 (ilp_seconds ());
-  }
+(* Work cap (subsets plus branch-and-bound nodes) for an ILP the
+   experiments expect to prove. Work, not seconds, so whether a cell
+   proves never depends on host load. *)
+let ilp_work = 2_000_000
 
 let header title =
   let line = String.make 72 '=' in

@@ -41,26 +41,16 @@ let tests () =
     heuristic_of "c6288";
     heuristic_of "Industrial3";
     Test.make ~name:"table1 ilp (enumerate) c1355 beta=5 C=2"
-      (Staged.stage (fun () ->
-           let config =
-             {
-               Fbb_core.Ilp_opt.default_config with
-               limits =
-                 { Fbb_ilp.Branch_bound.max_nodes = 200_000; max_seconds = 30.0 };
-             }
-           in
-           ignore (Fbb_core.Ilp_opt.optimize ~config p)));
+      (Staged.stage (fun () -> ignore (Fbb_core.Ilp_opt.optimize p)));
     Test.make ~name:"ablation ilp monolithic (3-row alu)"
       (Staged.stage
          (let nl = Fbb_netlist.Generators.alu ~bits:4 () in
           let pl = Fbb_place.Placement.place ~target_rows:3 nl in
           let prob = Fbb_core.Problem.build ~beta:0.08 pl in
           fun () ->
-            let limits =
-              { Fbb_ilp.Branch_bound.max_nodes = 100_000; max_seconds = 20.0 }
-            in
             ignore
-              (Fbb_ilp.Branch_bound.solve ~limits
+              (Fbb_ilp.Branch_bound.solve
+                 ~budget:(Fbb_util.Budget.create ~work:100_000 ())
                  (Fbb_core.Ilp_opt.formulate ~max_clusters:2 prob))));
     Test.make ~name:"ablation ilp enumerate (3-row alu)"
       (Staged.stage
@@ -71,9 +61,7 @@ let tests () =
             let config =
               {
                 Fbb_core.Ilp_opt.default_config with
-                limits =
-                  { Fbb_ilp.Branch_bound.max_nodes = 100_000;
-                    max_seconds = 20.0 };
+                budget = Fbb_util.Budget.create ~work:100_000 ();
               }
             in
             ignore (Fbb_core.Ilp_opt.optimize ~config prob)));

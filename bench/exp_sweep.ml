@@ -38,9 +38,8 @@ let run () =
         if cmax <= 4 then begin
           let config =
             {
-              Fbb_core.Ilp_opt.default_config with
-              max_clusters = cmax;
-              limits = Exp_common.ilp_limits ();
+              Fbb_core.Ilp_opt.max_clusters = cmax;
+              budget = Fbb_util.Budget.create ~work:Exp_common.ilp_work ();
             }
           in
           let warm =

@@ -6,7 +6,6 @@
                     the experiments run (watch with [fbbopt top])
    --telemetry-tick-ms MS  sampler period (default 500)
    Environment:
-   FBB_ILP_SECONDS  per-(design, beta, C) ILP budget (default 90)
    FBB_MC_SAMPLES   Monte-Carlo dies per design in [yield] (default 50) *)
 
 let experiments =

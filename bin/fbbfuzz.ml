@@ -36,10 +36,6 @@ let metamorphic_arg =
   in
   Arg.(value & opt bool true & info [ "metamorphic" ] ~docv:"BOOL" ~doc)
 
-let ilp_seconds_arg =
-  let doc = "Per-case branch & bound time budget in seconds." in
-  Arg.(value & opt float 30.0 & info [ "ilp-seconds" ] ~docv:"S" ~doc)
-
 let jobs_arg =
   let doc =
     "Width of the parallel domain pool used inside the solvers (default: \
@@ -114,9 +110,9 @@ let describe_case c =
   let open Fbb_oracle in
   Printf.sprintf "%s" (Case.name c)
 
-let run_one ~tally ~verbose ~metamorphic ~ilp_seconds ~origin case =
+let run_one ~tally ~verbose ~metamorphic ~origin case =
   let open Fbb_oracle in
-  let r = Differential.run ~metamorphic ~ilp_seconds case in
+  let r = Differential.run ~metamorphic case in
   tally.total <- tally.total + 1;
   (match r.Differential.outputs.Differential.oracle with
   | Differential.Checked Oracle.Infeasible ->
@@ -135,7 +131,7 @@ let run_one ~tally ~verbose ~metamorphic ~ilp_seconds ~origin case =
   List.iter (fun m -> Printf.printf "     - %s\n%!" m) r.Differential.failures;
   r
 
-let report_failure ~shrink ~repro_dir ~metamorphic ~ilp_seconds case =
+let report_failure ~shrink ~repro_dir ~metamorphic case =
   let open Fbb_oracle in
   let minimized, note =
     if shrink then begin
@@ -143,7 +139,7 @@ let report_failure ~shrink ~repro_dir ~metamorphic ~ilp_seconds case =
       let minimized, progress =
         Shrink.minimize
           ~run:(fun c ->
-            (Differential.run ~metamorphic ~ilp_seconds c)
+            (Differential.run ~metamorphic c)
               .Differential.failures)
           case
       in
@@ -161,7 +157,7 @@ let report_failure ~shrink ~repro_dir ~metamorphic ~ilp_seconds case =
   if minimized <> case then
     List.iter
       (fun m -> Printf.printf "     - %s\n%!" m)
-      (Differential.run ~metamorphic ~ilp_seconds minimized)
+      (Differential.run ~metamorphic minimized)
         .Differential.failures
 
 (* Resolve --corpus-dir up front, before any fuzzing starts. An empty
@@ -184,8 +180,7 @@ let load_corpus = function
       Printf.eprintf "fbbfuzz: corrupt corpus: %s\n%!" m;
       exit 2)
 
-let fuzz_body cases seed shrink corpus repro_dir metamorphic ilp_seconds
-    verbose =
+let fuzz_body cases seed shrink corpus repro_dir metamorphic verbose =
   let open Fbb_oracle in
   let tally =
     { total = 0; oracle_checked = 0; oracle_infeasible = 0; bb_proved = 0;
@@ -193,7 +188,7 @@ let fuzz_body cases seed shrink corpus repro_dir metamorphic ilp_seconds
   in
   let failing = ref [] in
   let consider ~origin case =
-    let r = run_one ~tally ~verbose ~metamorphic ~ilp_seconds ~origin case in
+    let r = run_one ~tally ~verbose ~metamorphic ~origin case in
     if Differential.failed r then failing := case :: !failing
   in
   if corpus <> [] then begin
@@ -214,7 +209,7 @@ let fuzz_body cases seed shrink corpus repro_dir metamorphic ilp_seconds
         tally.failed
   done;
   List.iter
-    (report_failure ~shrink ~repro_dir ~metamorphic ~ilp_seconds)
+    (report_failure ~shrink ~repro_dir ~metamorphic)
     (List.rev !failing);
   Printf.printf
     "fuzz summary: %d case(s), %d oracle-checked (%d infeasible), %d \
@@ -346,8 +341,8 @@ let fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
     1
   end
 
-let fuzz cases seed shrink corpus_dir repro_dir metamorphic ilp_seconds jobs
-    verbose trace telemetry faults =
+let fuzz cases seed shrink corpus_dir repro_dir metamorphic jobs verbose trace
+    telemetry faults =
   Option.iter Fbb_par.Pool.set_jobs jobs;
   let corpus = load_corpus corpus_dir in
   let run () =
@@ -356,8 +351,7 @@ let fuzz cases seed shrink corpus_dir repro_dir metamorphic ilp_seconds jobs
       fault_fuzz_body ~cases ~seed ~shrink ~corpus ~repro_dir ~verbose ~rate
         ~fault_seed
     | None ->
-      fuzz_body cases seed shrink corpus repro_dir metamorphic ilp_seconds
-        verbose
+      fuzz_body cases seed shrink corpus repro_dir metamorphic verbose
   in
   let with_trace run =
     match trace with
@@ -409,7 +403,7 @@ let () =
   let term =
     Term.(
       const fuzz $ cases_arg $ seed_arg $ shrink_arg $ corpus_dir_arg
-      $ repro_dir_arg $ metamorphic_arg $ ilp_seconds_arg $ jobs_arg
+      $ repro_dir_arg $ metamorphic_arg $ jobs_arg
       $ verbose_arg $ trace_arg $ telemetry_arg $ faults_arg)
   in
   exit (Cmd.eval' (Cmd.v info term))

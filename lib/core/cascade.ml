@@ -100,21 +100,7 @@ type candidate = {
 }
 
 let run_ilp ~max_clusters ~budget p =
-  let config =
-    {
-      Ilp_opt.max_clusters;
-      budget;
-      limits =
-        {
-          Fbb_ilp.Branch_bound.default_limits with
-          max_seconds =
-            (match B.remaining_s budget with
-            | Some s -> s
-            | None -> Fbb_ilp.Branch_bound.default_limits.max_seconds);
-        };
-    }
-  in
-  let r = Ilp_opt.optimize ~config p in
+  let r = Ilp_opt.optimize ~config:{ Ilp_opt.max_clusters; budget } p in
   {
     c_levels = r.Ilp_opt.levels;
     c_optimal = r.Ilp_opt.proved_optimal;
@@ -172,9 +158,12 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
             elapsed_s = Fbb_obs.Clock.now_s () -. t0 }
       in
       let exhausted_now =
-        (* The floor stage ignores exhaustion by design. *)
+        (* The floor stage ignores exhaustion by design. A stage with no
+           work left is skipped like one whose budget tripped. *)
         stage <> Single_bb
-        && (B.exhausted budget || Fbb_fault.Fault.fire "budget.exhaust")
+        && (B.exhausted budget
+           || B.remaining_work budget = Some 0
+           || Fbb_fault.Fault.fire "budget.exhaust")
       in
       if exhausted_now then finish Exhausted None 0
       else begin

@@ -6,7 +6,12 @@
     {v ilp -> heuristic -> single BB v}
 
     under one shared {!Fbb_util.Budget}, carving each stage a fraction
-    of whatever allowance remains when it starts. Every stage runs as
+    of whatever allowance remains when it starts: the ilp stage half of
+    it, the heuristic all of it, the floor none. The budget is the
+    stages' only limit (no solver has a node or time cap of its own),
+    and it is exact, so no stage spends more than its slice and what
+    the ilp stage leaves is the heuristic's. A stage that starts with
+    no work left is skipped as [Exhausted]. Every stage runs as
     the solver inside {!Refine.solve}, within its budget slice: a
     candidate that misses timing under full STA of the biased netlist
     folds its violating paths into the request's own problem (through

@@ -73,15 +73,14 @@ let evaluate ?(cs = [ 2; 3 ]) ?(run_ilp = true) ?ilp_limits prepared ~beta =
       Fbb_obs.Span.with_ ~name:"flow.ilp" @@ fun () ->
       List.map
         (fun c ->
-          let config =
-            {
-              Ilp_opt.default_config with
-              max_clusters = c;
-              limits =
-                Option.value ilp_limits
-                  ~default:Fbb_ilp.Branch_bound.default_limits;
-            }
+          (* One budget per C, spanning all of its refinement iterations. *)
+          let budget =
+            match ilp_limits with
+            | None -> Fbb_util.Budget.unlimited
+            | Some { Fbb_ilp.Branch_bound.max_nodes; max_seconds } ->
+              Fbb_util.Budget.create ~work:max_nodes ~deadline_s:max_seconds ()
           in
+          let config = { Ilp_opt.max_clusters = c; budget } in
           (* Start from the heuristic's refined constraint set and keep
              refining on the ILP's own solutions. *)
           let p0 =

@@ -39,7 +39,15 @@ val evaluate :
     heuristic solution of the same C. Both run inside {!Refine.solve}; an
     ILP entry is the result of the last refinement iteration's solve (its
     [nodes] count that solve only), reported as a timeout unless it
-    proved optimality and signed off clean. *)
+    proved optimality and signed off clean.
+
+    [ilp_limits] caps each C's ILP with one {!Fbb_util.Budget.t} of
+    [max_nodes] work units (subsets plus branch-and-bound nodes) and a
+    [max_seconds] deadline, spanning all of that C's refinement
+    iterations; without it the ILP is unlimited. The option takes a
+    {!Fbb_ilp.Branch_bound.limits} record rather than a budget only
+    because the benchmark harness passes one; no solver reads the
+    record. *)
 
 val ilp_savings_pct : evaluation -> c:int -> float option
 (** ILP leakage saving vs the Single BB baseline; [None] when the ILP

@@ -1,18 +1,9 @@
 module S = Fbb_lp.Simplex
 module BB = Fbb_ilp.Branch_bound
 
-type config = {
-  max_clusters : int;
-  limits : BB.limits;
-  budget : Fbb_util.Budget.t;
-}
+type config = { max_clusters : int; budget : Fbb_util.Budget.t }
 
-let default_config =
-  {
-    max_clusters = 2;
-    limits = BB.default_limits;
-    budget = Fbb_util.Budget.unlimited;
-  }
+let default_config = { max_clusters = 2; budget = Fbb_util.Budget.unlimited }
 
 type result = {
   levels : int array option;
@@ -227,7 +218,6 @@ let project_levels subset levels =
 
 let optimize_enumerate config ?warm_start p ~kept =
   Fbb_obs.Span.with_ ~name:"ilp.enumerate" @@ fun () ->
-  let start = Fbb_obs.Clock.now_s () in
   let nrows = Problem.num_rows p in
   let warm_start =
     match warm_start with
@@ -267,16 +257,15 @@ let optimize_enumerate config ?warm_start p ~kept =
              | c -> c)
       |> List.map snd
     in
-    List.iter
-      (fun subset ->
+    (* One budget tick per subset in this sequential loop; the shared
+       budget is also handed to each inner B&B, which ticks it per node
+       at its own (sequential) wave fold. The first refused tick ends
+       the enumeration. *)
+    let rec enumerate = function
+      | [] -> ()
+      | subset :: rest ->
         Fbb_obs.Counter.incr subsets_considered_c;
-        let elapsed = Fbb_obs.Clock.now_s () -. start in
-        let remaining = config.limits.BB.max_seconds -. elapsed in
-        (* One budget tick per subset in this sequential loop; the
-           shared budget is also handed to each inner B&B, which ticks
-           it per node at its own (sequential) wave fold. *)
-        if remaining <= 0.0 || not (Fbb_util.Budget.tick config.budget) then
-          all_proved := false
+        if not (Fbb_util.Budget.tick config.budget) then all_proved := false
         else begin
           (* Cheap bound: even with every row at its cheapest subset level
              the incumbent must be beatable. *)
@@ -305,13 +294,7 @@ let optimize_enumerate config ?warm_start p ~kept =
               | None -> None
             in
             let cutoff = Option.map snd !best in
-            let limits =
-              {
-                BB.max_nodes = config.limits.BB.max_nodes;
-                max_seconds = remaining;
-              }
-            in
-            let r = BB.solve ~limits ~budget:config.budget ?incumbent ?cutoff problem in
+            let r = BB.solve ~budget:config.budget ?incumbent ?cutoff problem in
             nodes := !nodes + r.BB.nodes;
             (match r.BB.status with
             | BB.Proved_optimal | BB.Proved_infeasible -> ()
@@ -333,9 +316,11 @@ let optimize_enumerate config ?warm_start p ~kept =
               | Some _ | None -> best := Some (levels, obj)
             end
             | None -> ()
-          end
-        end)
-      subsets);
+          end;
+          enumerate rest
+        end
+    in
+    enumerate subsets);
   let levels = Option.map fst !best in
   {
     levels;

@@ -24,25 +24,24 @@
 
 type config = {
   max_clusters : int;  (** the paper's C *)
-  limits : Fbb_ilp.Branch_bound.limits;
-      (** global limits: [max_seconds] caps the whole solve, including all
-          enumerated subsets *)
   budget : Fbb_util.Budget.t;
-      (** cooperative budget: ticked once per enumerated subset and
-          threaded into every inner branch-and-bound solve (which ticks
-          it per node, sequentially). When it trips the solve stops at
-          the next check point and reports the best incumbent so far
-          with [timed_out = true]. *)
+      (** the solve's only limit: ticked once per enumerated subset and
+          handed, alone, to every inner branch-and-bound solve (which
+          ticks it per node, sequentially). The enumeration stops at the
+          first refused subset tick; the solve then reports the best
+          incumbent so far with [timed_out = true]. *)
 }
 
 val default_config : config
-(** C = 2, default solver limits, unlimited budget. *)
+(** C = 2, unlimited budget. *)
 
 type result = {
   levels : int array option;  (** best assignment found, if any *)
   leakage_nw : float option;
   proved_optimal : bool;
-  timed_out : bool;  (** node or time limit hit — the paper's "-" case *)
+  timed_out : bool;
+      (** no proof: the budget tripped or a subtree went unproven — the
+          paper's "-" case *)
   nodes : int;
   constraints_total : int;  (** paper's No.Constr: |Pi| *)
   constraints_solved : int;  (** after dominance reduction *)

@@ -19,8 +19,6 @@ type problem = {
 
 type limits = { max_nodes : int; max_seconds : float }
 
-let default_limits = { max_nodes = 200_000; max_seconds = 60.0 }
-
 type status = Proved_optimal | Feasible | Proved_infeasible | Limit_reached
 
 type result = {
@@ -133,8 +131,7 @@ let rec take_batch n frontier =
    search, is identical at any parallelism level. *)
 let wave_width = 32
 
-let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
-    ?incumbent ?cutoff p =
+let solve ?(budget = Fbb_util.Budget.unlimited) ?incumbent ?cutoff p =
   Fbb_obs.Span.with_ ~name:"bb.solve" @@ fun () ->
   let start = Fbb_obs.Clock.now_s () in
   let best = ref None in
@@ -157,17 +154,19 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
   let frontier = ref [ { fixes = []; lower = Float.neg_infinity } ] in
   let running = ref true in
   while !running && !frontier <> [] do
-    if
-      !nodes >= limits.max_nodes
-      || Fbb_obs.Clock.now_s () -. start > limits.max_seconds
-      || Fbb_util.Budget.exhausted budget
-    then begin
+    (* A wave is at most the remaining work wide, so a work budget
+       stops the search at an exact node count. *)
+    let width =
+      match Fbb_util.Budget.remaining_work budget with
+      | Some w -> min wave_width w
+      | None -> wave_width
+    in
+    if width = 0 || Fbb_util.Budget.exhausted budget then begin
       hit_limit := true;
       running := false
     end
     else begin
       Fbb_obs.Counter.incr waves_c;
-      let width = min wave_width (limits.max_nodes - !nodes) in
       let batch, rest = take_batch width !frontier in
       let t = threshold () in
       let batch = Array.of_list batch in
@@ -197,7 +196,7 @@ let solve ?(limits = default_limits) ?(budget = Fbb_util.Budget.unlimited)
           | Lp_infeasible -> Fbb_obs.Counter.incr lp_infeasible_c
           | Lp_unproven ->
             (* The LP could not bound this subtree; abandoning it without
-               a proof forfeits optimality, exactly like a node/time
+               a proof forfeits optimality, exactly like a tripped
                budget. *)
             Fbb_obs.Counter.incr lp_unproven_c;
             hit_limit := true

@@ -10,11 +10,12 @@
     bound, which never exceeds the LP optimum. Branching is on the most
     fractional variable, depth-first flavoured, exploring the nearest
     rounding first. A warm-start incumbent (e.g. from the paper's
-    heuristic) makes pruning effective immediately. Node and wall-clock
-    limits reproduce the paper's "ILP did not converge" behaviour on the
-    largest designs.
+    heuristic) makes pruning effective immediately. A
+    {!Fbb_util.Budget} is the one limit: a tripped budget reproduces the
+    paper's "ILP did not converge" behaviour on the largest designs.
 
-    The search runs in fixed-width waves: up to 32 open nodes have their
+    The search runs in waves: up to 32 open nodes (fewer when the
+    budget has less work left) have their
     LP relaxations solved in parallel on the {!Fbb_par.Pool} domain pool,
     then the wave is folded sequentially in node order — incumbent
     updates, pruning bookkeeping, child ordering. The pruning threshold
@@ -35,15 +36,15 @@ type limits = {
   max_nodes : int;
   max_seconds : float;
 }
-
-val default_limits : limits
-(** 200_000 nodes, 60 s. *)
+(** A node and wall-clock cap as one record. No solver reads it: it
+    survives only as the argument of [Fbb_core.Flow.evaluate
+    ?ilp_limits], which turns it into a {!Fbb_util.Budget.t}. *)
 
 type status =
   | Proved_optimal  (** search exhausted; [best] is the optimum *)
-  | Feasible  (** limits hit; [best] is the best incumbent found *)
+  | Feasible  (** budget tripped; [best] is the best incumbent found *)
   | Proved_infeasible
-  | Limit_reached  (** limits hit before any feasible point was found *)
+  | Limit_reached  (** budget tripped before any feasible point was found *)
 
 type result = {
   status : status;
@@ -53,22 +54,24 @@ type result = {
 }
 
 val solve :
-  ?limits:limits -> ?budget:Fbb_util.Budget.t -> ?incumbent:float array ->
-  ?cutoff:float -> problem -> result
+  ?budget:Fbb_util.Budget.t -> ?incumbent:float array -> ?cutoff:float ->
+  problem -> result
 (** [incumbent], when given, must be a feasible 0/1 vector; it seeds the
     upper bound. Raises [Invalid_argument] if it is infeasible.
 
-    [budget] bounds the search cooperatively. Its work is ticked once
-    per expanded node {e in the sequential wave fold} (never inside the
-    parallel LP solves), and it is consulted before each wave, so with
-    a pure work budget the set of explored nodes, and hence the
-    incumbent, is bit-identical at any job count. Every LP also
-    re-checks it before each pivot with {!Fbb_util.Budget.ok}, root LP
-    included, which consumes no work: a passed deadline stops the LP
-    mid-solve. When the budget trips the search stops at the wave
-    boundary and reports [Feasible]/[Limit_reached] with the best
-    incumbent found so far (anytime semantics), exactly like the node
-    or time limits.
+    [budget] (default unlimited) is the search's only limit. Its work is
+    ticked once per expanded node {e in the sequential wave fold} (never
+    inside the parallel LP solves), and it is consulted before each
+    wave, whose width is [min 32] of its remaining work: a work budget
+    of [k] stops the search after exactly [min k n] nodes, where [n] is
+    the node count of the unlimited search, and the set of explored
+    nodes, and hence the incumbent, is bit-identical at any job count.
+    Every LP also re-checks it before each pivot with
+    {!Fbb_util.Budget.ok}, root LP included, which consumes no work: a
+    passed deadline stops the LP mid-solve. When the budget trips, or
+    has no work left, the search stops at the wave boundary and reports
+    [Feasible]/[Limit_reached] with the best incumbent found so far
+    (anytime semantics).
 
     [cutoff] prunes any subtree whose LP bound is not strictly below it —
     useful when an external search already holds a solution of that
@@ -81,7 +84,7 @@ val solve :
     certified answer (pivot limit, passed deadline, or a Farkas
     certificate that does not check) abandons that subtree, is counted
     on [bb.lp_pivot_limit] and downgrades the result to
-    [Feasible]/[Limit_reached], like a node or time budget. A wave
+    [Feasible]/[Limit_reached], like a tripped budget. A wave
     whose parallel map raises {!Fbb_par.Pool.Worker_error} (e.g. an
     injected ["pool.worker"] fault) is handled the same way: its nodes
     are abandoned, the incumbent and the rest of the frontier are kept,

@@ -3,7 +3,6 @@ module Solution = Fbb_core.Solution
 module Heuristic = Fbb_core.Heuristic
 module Ilp = Fbb_core.Ilp_opt
 module Refine = Fbb_core.Refine
-module BB = Fbb_ilp.Branch_bound
 
 module Cascade = Fbb_core.Cascade
 
@@ -152,7 +151,7 @@ let oracle_of ~max_clusters p =
 let contained_faults =
   List.map Fbb_obs.Counter.make [ "bb.wave_faults"; "ilp.reduce_faults" ]
 
-let run ?(metamorphic = true) ?(ilp_seconds = 30.0) case =
+let run ?(metamorphic = true) case =
   Fbb_obs.Counter.incr runs_c;
   Fbb_obs.Span.with_ ~name:"differential.run" @@ fun () ->
   let failures = ref [] in
@@ -198,9 +197,8 @@ let run ?(metamorphic = true) ?(ilp_seconds = 30.0) case =
     let bb =
       let config =
         {
-          Ilp.default_config with
-          max_clusters = c;
-          limits = { BB.max_nodes = 500_000; max_seconds = ilp_seconds };
+          Ilp.max_clusters = c;
+          budget = Fbb_util.Budget.create ~work:500_000 ();
         }
       in
       let r = Ilp.optimize ~config p in

@@ -47,12 +47,13 @@ type report = {
   failures : string list;  (** empty = all checks passed *)
 }
 
-val run : ?metamorphic:bool -> ?ilp_seconds:float -> Case.t -> report
+val run : ?metamorphic:bool -> Case.t -> report
 (** [metamorphic] (default true) additionally rebuilds the problem under
     a row rotation, a smaller beta and a scaled leakage table — three
-    extra oracle solves — on oracle-sized instances. [ilp_seconds]
-    (default 30) bounds the B&B; a timed-out B&B skips the optimality
-    comparison rather than failing. Exceptions while building the case
+    extra oracle solves — on oracle-sized instances. The cold B&B runs
+    under a 500,000-unit work budget, so its verdict does not depend on
+    host load; a timed-out B&B skips the optimality comparison rather
+    than failing. Exceptions while building the case
     are reported as a single failure prefixed ["build:"]. With fault
     injection off, any movement of the contained-fault counters
     ([bb.wave_faults], [ilp.reduce_faults]) during the run is a

@@ -40,14 +40,26 @@ let check_deadline t =
   | Some d when now () > d -> trip t Deadline
   | Some _ | None -> ()
 
+(* Charge [cost] only if it fits under the work limit. A charge that
+   does not fit trips the budget and charges nothing, so [used] never
+   passes the limit, whatever the interleaving of domains. *)
+let charge t cost =
+  match t.work with
+  | None -> if cost <> 0 then ignore (Atomic.fetch_and_add t.used cost)
+  | Some limit ->
+    let rec go () =
+      let before = Atomic.get t.used in
+      if before + cost > limit then trip t Work
+      else if not (Atomic.compare_and_set t.used before (before + cost)) then
+        go ()
+    in
+    go ()
+
 let tick ?(cost = 1) t =
   if t.infinite then true
+  else if Atomic.get t.tripped <> None then false
   else begin
-    (match t.work with
-    | None -> if cost <> 0 then ignore (Atomic.fetch_and_add t.used cost)
-    | Some limit ->
-      let before = Atomic.fetch_and_add t.used cost in
-      if before + cost > limit then trip t Work);
+    charge t cost;
     if Atomic.get t.tripped = None then check_deadline t;
     Atomic.get t.tripped = None
   end
@@ -65,8 +77,7 @@ let reason t =
 
 let work_used t = Atomic.get t.used
 
-let remaining_work t =
-  Option.map (fun limit -> max 0 (limit - Atomic.get t.used)) t.work
+let remaining_work t = Option.map (fun limit -> limit - Atomic.get t.used) t.work
 
 let elapsed_s t = now () -. t.started
 
@@ -78,23 +89,16 @@ let sub ?(work_frac = 1.0) ?(deadline_frac = 1.0) t =
     let work =
       Option.map
         (fun rem ->
-          if exhausted t then 0
-          else if rem = 0 then 0
+          if rem = 0 then 0
           else max 1 (int_of_float (ceil (float_of_int rem *. work_frac))))
         (remaining_work t)
     in
     let deadline_s =
       Option.map (fun rem -> rem *. Float.min 1.0 deadline_frac) (remaining_s t)
     in
-    make ~deadline_s ~work ~infinite:false
+    let child = make ~deadline_s ~work ~infinite:false in
+    Option.iter (trip child) (reason t);
+    child
   end
 
-let consume t n =
-  if (not t.infinite) && n > 0 then begin
-    (match t.work with
-    | None -> ignore (Atomic.fetch_and_add t.used n)
-    | Some limit ->
-      let before = Atomic.fetch_and_add t.used n in
-      if before + n > limit then trip t Work);
-    ()
-  end
+let consume t n = if (not t.infinite) && n > 0 then charge t n

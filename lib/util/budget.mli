@@ -12,11 +12,15 @@
       on the same ticks. Deadlines make latency bounds real but are
       inherently machine-dependent; tests use work budgets only.
 
-    Exhaustion is sticky: once either limit trips, every subsequent
-    {!tick} and {!ok} reports exhaustion, and {!reason} says which
-    limit tripped first. The work counter is atomic, so a budget may
-    be shared across domains — though solvers that promise determinism
-    only consume it from their sequential driver loop (see DESIGN.md).
+    Accounting is exact: a tick whose cost does not fit under the work
+    limit is refused, trips the budget and charges nothing, and every
+    tick after a trip is free. So [work_used b <= work] always holds,
+    through {!sub} and {!consume} too. Exhaustion is sticky: once
+    either limit trips, every subsequent {!tick} and {!ok} reports
+    exhaustion, and {!reason} says which limit tripped first. The work
+    counter is atomic, so a budget may be shared across domains —
+    though solvers that promise determinism only consume it from their
+    sequential driver loop (see DESIGN.md).
 
     [unlimited] is the zero-cost default every solver falls back to:
     no allocation per tick, no clock reads. *)
@@ -41,8 +45,10 @@ val is_unlimited : t -> bool
 
 val tick : ?cost:int -> t -> bool
 (** Consume [cost] (default 1) work units and re-check the deadline.
-    Returns [true] when the computation may continue. The tick that
-    crosses a limit returns [false]; so does every later one. *)
+    Returns [true] when the computation may continue. A tick that would
+    cross the work limit is refused: it returns [false], trips the
+    budget and leaves {!work_used} unchanged. Every later tick returns
+    [false] and charges nothing. *)
 
 val ok : t -> bool
 (** Like {!tick} with cost 0: re-checks the deadline without consuming
@@ -55,7 +61,7 @@ val reason : t -> reason option
 (** Which limit tripped, once {!exhausted}. *)
 
 val work_used : t -> int
-(** Total work units consumed so far. *)
+(** Total work units consumed so far; never more than the work limit. *)
 
 val remaining_work : t -> int option
 (** [None] when no work limit was set; never negative. *)
@@ -74,8 +80,11 @@ val sub : ?work_frac:float -> ?deadline_frac:float -> t -> t
     [frac] of the parent's remaining seconds. Fractions default to
     1.0 (inherit everything left). The child is independent — charge
     its {!work_used} back with {!consume} when the stage ends. An
-    exhausted parent yields an immediately-exhausted child. *)
+    exhausted parent yields an already-tripped child with the parent's
+    {!reason}. *)
 
 val consume : t -> int -> unit
 (** Account work performed elsewhere (e.g. by a child budget) against
-    this budget, without the continue/stop verdict of {!tick}. *)
+    this budget, without the continue/stop verdict of {!tick}. Like a
+    tick, work that does not fit under the limit trips the budget and
+    is not charged. *)

@@ -67,6 +67,35 @@ let test_tight_budgets_stay_feasible () =
         Alcotest.failf "feasible instance reported infeasible at work=%d" work)
     [ 1; 10; 100; 1000 ]
 
+(* Each stage spends at most its slice: the ilp stage half of the work
+   left when it starts, the heuristic all of it, the floor none; so the
+   whole cascade spends at most its budget. *)
+let test_stages_stay_within_their_slices () =
+  let p = Tsupport.small_problem () in
+  List.iter
+    (fun work ->
+      let r = Cascade.solve ~budget:(Budget.create ~work ()) p in
+      let left =
+        List.fold_left
+          (fun left a ->
+            let slice =
+              match a.Cascade.stage with
+              | Cascade.Ilp -> (left + 1) / 2
+              | Cascade.Heuristic -> left
+              | Cascade.Single_bb -> 0
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "work %d: %s spent %d of a %d slice" work
+                 (Cascade.stage_name a.Cascade.stage) a.Cascade.work_spent slice)
+              true
+              (a.Cascade.work_spent >= 0 && a.Cascade.work_spent <= slice);
+            left - a.Cascade.work_spent)
+          work r.Cascade.attempts
+      in
+      Alcotest.(check bool) (Printf.sprintf "work %d: within budget" work) true
+        (left >= 0))
+    [ 0; 1; 5; 20; 50; 300 ]
+
 let test_infeasible_instance () =
   let p = infeasible_problem () in
   (match Cascade.solve p with
@@ -196,6 +225,35 @@ let test_c1355_signs_off () =
       (Cascade.verify r.Cascade.problem ~max_clusters:2 levels)
   | Cascade.Infeasible -> Alcotest.fail "c1355 reported infeasible"
 
+(* With 20 units the ilp stage's 10-unit slice cannot finish c1355, and
+   what it leaves is the heuristic's: the heuristic runs and answers. *)
+let test_c1355_small_budget_reaches_the_heuristic () =
+  let prepared = Fbb_core.Flow.prepare (Fbb_netlist.Benchmarks.find "c1355") in
+  let p = Fbb_core.Flow.problem prepared ~beta:0.05 in
+  let r = Cascade.solve ~max_clusters:2 ~budget:(Budget.create ~work:20 ()) p in
+  let status stage =
+    List.find_map
+      (fun a ->
+        if a.Cascade.stage = stage then Some (a.Cascade.status, a.Cascade.work_spent)
+        else None)
+      r.Cascade.attempts
+  in
+  (match status Cascade.Ilp with
+  | Some (_, spent) ->
+    Alcotest.(check bool) "ilp within its 10-unit slice" true (spent <= 10)
+  | None -> Alcotest.fail "no ilp attempt");
+  Alcotest.(check bool) "heuristic accepted" true
+    (match status Cascade.Heuristic with
+    | Some (Cascade.Accepted, _) -> true
+    | Some _ | None -> false);
+  match r.Cascade.outcome with
+  | Cascade.Solved { stage; levels; _ } ->
+    Alcotest.(check bool) "the heuristic answers" true
+      (stage = Cascade.Heuristic);
+    Alcotest.(check (list string)) "full-STA sign-off" []
+      (Fbb_oracle.Invariant.signoff p ~levels)
+  | Cascade.Infeasible -> Alcotest.fail "c1355 reported infeasible"
+
 let least_demanding beta =
   let p = Tsupport.small_problem ~beta () in
   (p, Tsupport.least_demanding_cut p)
@@ -242,6 +300,8 @@ let suite =
     ("unlimited budget is exact", `Quick, test_unlimited_budget_is_exact);
     ("zero budget falls to the floor", `Quick, test_zero_budget_floor);
     ("tight budgets stay feasible", `Quick, test_tight_budgets_stay_feasible);
+    ("stages stay within their slices", `Quick,
+     test_stages_stay_within_their_slices);
     ("infeasible instance", `Quick, test_infeasible_instance);
     ("verify rejects bad assignments", `Quick,
      test_verify_rejects_bad_assignments);
@@ -251,6 +311,8 @@ let suite =
     ("ilp stage survives worker faults", `Quick,
      test_ilp_stage_survives_worker_faults);
     ("c1355 answer signs off", `Quick, test_c1355_signs_off);
+    ("c1355 small budget reaches the heuristic", `Quick,
+     test_c1355_small_budget_reaches_the_heuristic);
     ("floor is raised until it signs off", `Quick, test_floor_is_raised);
     ("infeasible iff the highest level fails", `Quick,
      test_infeasible_iff_top_level_fails);

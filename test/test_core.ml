@@ -184,7 +184,7 @@ let test_criticality_nonnegative () =
 let test_ilp_enumerate_valid () =
   let p = problem () in
   let config =
-    { Ilp.default_config with limits = { BB.max_nodes = 100_000; max_seconds = 30.0 } }
+    { Ilp.default_config with budget = Fbb_util.Budget.create ~work:100_000 () }
   in
   let r = Ilp.optimize ~config p in
   Alcotest.(check bool) "proved" true r.Ilp.proved_optimal;
@@ -200,7 +200,8 @@ let test_ilp_beats_heuristic () =
   let h = Option.get (Heuristic.optimize ~max_clusters:2 p) in
   let r =
     Ilp.optimize
-      ~config:{ Ilp.default_config with limits = { BB.max_nodes = 100_000; max_seconds = 30.0 } }
+      ~config:
+        { Ilp.default_config with budget = Fbb_util.Budget.create ~work:100_000 () }
       ~warm_start:h.Heuristic.levels p
   in
   match r.Ilp.leakage_nw with
@@ -216,15 +217,19 @@ let small_exact_problem =
      let pl = Fbb_place.Placement.place ~target_rows:3 nl in
      Problem.build ~beta:0.08 pl)
 
-let small_exact_limits = { BB.max_nodes = 200_000; max_seconds = 60.0 }
+let small_exact_budget () = Fbb_util.Budget.create ~work:200_000 ()
 
 let test_strategies_agree () =
   (* The production solve (dominance-reduced, enumerated subsets)
      against the paper's unreduced 0-1 program solved as one search. *)
   let p = Lazy.force small_exact_problem in
-  let limits = small_exact_limits in
-  let a = Ilp.optimize ~config:{ Ilp.default_config with limits } p in
-  let b = BB.solve ~limits (Ilp.formulate ~max_clusters:2 p) in
+  let a =
+    Ilp.optimize
+      ~config:{ Ilp.default_config with budget = small_exact_budget () } p
+  in
+  let b =
+    BB.solve ~budget:(small_exact_budget ()) (Ilp.formulate ~max_clusters:2 p)
+  in
   Alcotest.(check bool) "both proved" true
     (a.Ilp.proved_optimal && b.BB.status = BB.Proved_optimal);
   match (a.Ilp.leakage_nw, b.BB.best) with
@@ -235,8 +240,10 @@ let test_constraint_reduction_lossless () =
   (* The reduced solve keeps a subset of the timing rows, and its answer
      still meets every path, including the dropped ones. *)
   let p = Lazy.force small_exact_problem in
-  let limits = small_exact_limits in
-  let a = Ilp.optimize ~config:{ Ilp.default_config with limits } p in
+  let a =
+    Ilp.optimize
+      ~config:{ Ilp.default_config with budget = small_exact_budget () } p
+  in
   Alcotest.(check bool) "reduction keeps at most every constraint" true
     (a.Ilp.constraints_solved <= a.Ilp.constraints_total);
   Alcotest.(check int) "every path counted" (Problem.num_paths p)
@@ -642,7 +649,7 @@ let test_flow_end_to_end () =
   let prep = Fbb_core.Flow.prepare spec in
   let ev =
     Fbb_core.Flow.evaluate ~cs:[ 2 ] prep ~beta:0.05
-      ~ilp_limits:{ BB.max_nodes = 100_000; max_seconds = 30.0 }
+      ~ilp_limits:{ BB.max_nodes = 100_000; max_seconds = Float.infinity }
   in
   Alcotest.(check bool) "has constraints" true (ev.Fbb_core.Flow.constraints > 0);
   Alcotest.(check bool) "single bb present" true

@@ -6,7 +6,6 @@ module Problem = Fbb_core.Problem
 module Solution = Fbb_core.Solution
 module Heuristic = Fbb_core.Heuristic
 module Ilp = Fbb_core.Ilp_opt
-module BB = Fbb_ilp.Branch_bound
 
 (* A tiny placed design: 3 rows, so 11^3 assignments are enumerable. *)
 let tiny_placement =
@@ -46,9 +45,8 @@ let test_ilp_matches_brute_force () =
           let expected = brute_force p ~max_clusters in
           let config =
             {
-              Ilp.default_config with
-              max_clusters;
-              limits = { BB.max_nodes = 200_000; max_seconds = 30.0 };
+              Ilp.max_clusters;
+              budget = Fbb_util.Budget.create ~work:200_000 ();
             }
           in
           let r = Ilp.optimize ~config p in

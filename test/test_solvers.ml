@@ -231,11 +231,41 @@ let test_bb_counters_match_result () =
        dp >= 0 && dp <= r.BB.nodes)
   done
 
+(* A work budget of k stops the search after exactly min k n nodes, n
+   being the unlimited search's count: the last wave is cut to the work
+   left. The parity row 2 x_1 + ... + 2 x_9 = 9 is LP-feasible but has no
+   0/1 point, so proving that takes a deep search (n > 33), and a
+   mid-wave cut (k = 5, 31, 33) must land exactly, at any pool width. *)
 let test_bb_node_limit () =
-  let rng = Fbb_util.Rng.create ~seed:77 in
-  let p = fst (random_problem rng) in
-  let r = BB.solve ~limits:{ BB.max_nodes = 1; max_seconds = 60.0 } p in
-  Alcotest.(check bool) "limited" true (r.BB.nodes <= 2)
+  let n = 9 in
+  let p =
+    bb n (Array.make n 1.0)
+      [ c (List.init n (fun v -> (v, 2.0))) S.Eq (float_of_int n) ]
+  in
+  let full = BB.solve p in
+  Alcotest.(check bool) "unlimited search proves infeasibility" true
+    (full.BB.status = BB.Proved_infeasible);
+  Alcotest.(check bool) "deeper than the budgets tried" true
+    (full.BB.nodes > 33);
+  let at_jobs jobs f =
+    let prev = Fbb_par.Pool.jobs () in
+    Fbb_par.Pool.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Fbb_par.Pool.set_jobs prev) f
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun jobs ->
+          let budget = Fbb_util.Budget.create ~work:k () in
+          let r = at_jobs jobs (fun () -> BB.solve ~budget p) in
+          let tag s = Printf.sprintf "%s (work %d, jobs %d)" s k jobs in
+          Alcotest.(check int) (tag "nodes") (min k full.BB.nodes) r.BB.nodes;
+          Alcotest.(check int) (tag "work charged") r.BB.nodes
+            (Fbb_util.Budget.work_used budget);
+          Alcotest.(check bool) (tag "truncated") true
+            (r.BB.status = BB.Limit_reached))
+        [ 1; 4 ])
+    [ 0; 1; 5; 31; 33 ]
 
 (* ----- bounded dual simplex ---------------------------------------- *)
 

@@ -352,7 +352,66 @@ let qcheck_tests =
     in
     QCheck.make ~print gen
   in
+  (* Budget operations: a tick, a consume, or a child carved with [sub]
+     that ticks its own costs and is settled back with [consume]. *)
+  let budget_ops =
+    let open Gen in
+    let op =
+      frequency
+        [
+          (4, map (fun c -> `Tick c) (int_range 0 12));
+          (2, map (fun n -> `Consume n) (int_range 0 30));
+          ( 2,
+            map2
+              (fun f cs -> `Sub (f, cs))
+              (float_range 0.0 1.0)
+              (list_size (int_range 0 6) (int_range 0 12)) );
+        ]
+    in
+    let print (work, ops) =
+      Printf.sprintf "work %d: %s" work
+        (String.concat "; "
+           (List.map
+              (function
+                | `Tick c -> Printf.sprintf "tick %d" c
+                | `Consume n -> Printf.sprintf "consume %d" n
+                | `Sub (f, cs) ->
+                  Printf.sprintf "sub %.2f [%s]" f
+                    (String.concat "," (List.map string_of_int cs)))
+              ops))
+    in
+    QCheck.make ~print (pair (int_range 0 60) (list_size (int_range 0 25) op))
+  in
   [
+    Test.make ~name:"budget work_used never exceeds work" ~count:500 budget_ops
+      (fun (work, ops) ->
+        let b = Budget.create ~work () in
+        (* A tick either charges its whole cost or, refused, nothing. *)
+        let tick b c =
+          let before = Budget.work_used b in
+          let ok = Budget.tick ~cost:c b in
+          Budget.work_used b = (if ok then before + c else before)
+        in
+        List.for_all
+          (fun op ->
+            let exact =
+              match op with
+              | `Tick c -> tick b c
+              | `Consume n ->
+                Budget.consume b n;
+                true
+              | `Sub (f, cs) ->
+                let child = Budget.sub ~work_frac:f b in
+                let child_work =
+                  Option.value ~default:0 (Budget.remaining_work child)
+                in
+                let ok = List.for_all (tick child) cs in
+                let child_ok = Budget.work_used child <= child_work in
+                Budget.consume b (Budget.work_used child);
+                ok && child_ok
+            in
+            exact && Budget.work_used b <= work)
+          ops);
     Test.make ~name:"csv render/parse round-trip" ~count:300 csv_table
       (fun (headers, rows) ->
         let c = Fbb_util.Csv.create ~headers in

@@ -16,9 +16,9 @@ let env_int name default =
   | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
   | None -> default
 
-(* Work cap (subsets plus branch-and-bound nodes) for an ILP the
-   experiments expect to prove. Work, not seconds, so whether a cell
-   proves never depends on host load. *)
+(* Work cap (subsets, interval-bound LPs and branch-and-bound nodes) for
+   an ILP the experiments expect to prove. Work, not seconds, so whether
+   a cell proves never depends on host load. *)
 let ilp_work = 2_000_000
 
 let header title =
@@ -29,21 +29,12 @@ let opt_pct = function
   | Some v when Float.is_finite v -> Printf.sprintf "%.2f" v
   | Some _ | None -> "-"
 
-(* Experiments fan cells out on the domain pool, and several cells of
-   one design can ask for the same prepared flow at once; the mutex
-   covers the whole find-or-prepare so each design is prepared exactly
-   once. Serializing prepares is fine - they are a small fraction of
-   any experiment that bothers to cache them. [Flow.prepare] must not
-   submit pool batches: a submitter helps drain the shared queue, and a
-   stolen task calling back into [prepare] would self-deadlock on this
-   mutex. *)
+(* Each design is prepared once per run and shared by the experiments,
+   which ask for it from the main domain only. *)
 let prepared_cache : (string, Fbb_core.Flow.prepared) Hashtbl.t =
   Hashtbl.create 16
 
-let prepared_mutex = Mutex.create ()
-
 let prepare name =
-  Mutex.protect prepared_mutex @@ fun () ->
   match Hashtbl.find_opt prepared_cache name with
   | Some p -> p
   | None ->

@@ -99,8 +99,12 @@ type candidate = {
   c_truncated : bool;  (* the stage's budget cut it short *)
 }
 
-let run_ilp ~max_clusters ~budget p =
+(* [floor] keeps the best closure bound of any ILP solve, proved or
+   not: each is a lower bound on its own problem, and a signed-off answer
+   meets every constraint of every problem the cascade carried. *)
+let run_ilp ~max_clusters ~floor ~budget p =
   let r = Ilp_opt.optimize ~config:{ Ilp_opt.max_clusters; budget } p in
+  Option.iter (fun b -> floor := Float.max !floor b) r.Ilp_opt.lower_bound_nw;
   {
     c_levels = r.Ilp_opt.levels;
     c_optimal = r.Ilp_opt.proved_optimal;
@@ -135,7 +139,7 @@ let stage_frac = function
 let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
   if max_clusters < 1 then invalid_arg "Cascade.solve: C must be >= 1";
   Fbb_obs.Span.with_ ~name:"cascade.solve" @@ fun () ->
-  let lb = lower_bound p in
+  let lb = ref (lower_bound p) in
   (* Enough refinement iterations for the floor to climb every level. *)
   let max_iterations = Problem.num_levels p + 1 in
   let carried = ref p in
@@ -203,7 +207,7 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
       end
     end
   in
-  attempt Ilp (run_ilp ~max_clusters);
+  attempt Ilp (run_ilp ~max_clusters ~floor:lb);
   attempt Heuristic (run_heuristic ~max_clusters);
   attempt Single_bb (fun ~budget:_ q -> run_single_bb q);
   let outcome =
@@ -214,7 +218,7 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
           stage;
           levels;
           leakage_nw;
-          gap_pct = (if optimal then Some 0.0 else gap_pct ~lb leakage_nw);
+          gap_pct = (if optimal then Some 0.0 else gap_pct ~lb:!lb leakage_nw);
           optimal;
         }
     | None ->

@@ -68,9 +68,13 @@ type outcome =
       levels : int array;
       leakage_nw : float;
       gap_pct : float option;
-          (** optimality-gap bound vs the row-wise leakage lower bound
-              [sum_i min_j L(i,j)]; [Some 0.] when the ILP proved
-              optimality, [None] when the lower bound is not positive *)
+          (** optimality-gap bound [(leak - lb) / lb] in percent, where
+              [lb] is the larger of the row-wise leakage lower bound
+              [sum_i min_j L(i,j)] and the best C-free closure bound
+              ({!Ilp_opt.result.lower_bound_nw}) any ILP solve of the
+              stage reported, including one its budget cut short;
+              [Some 0.] when the ILP proved optimality, [None] when the
+              lower bound is not positive *)
       optimal : bool;
           (** the ILP stage proved this optimal on the carried
               {!result.problem} *)

@@ -42,7 +42,8 @@ val evaluate :
     proved optimality and signed off clean.
 
     [ilp_limits] caps each C's ILP with one {!Fbb_util.Budget.t} of
-    [max_nodes] work units (subsets plus branch-and-bound nodes) and a
+    [max_nodes] work units (subsets, interval-bound LPs and
+    branch-and-bound nodes, the C-free closure's included) and a
     [max_seconds] deadline, spanning all of that C's refinement
     iterations; without it the ILP is unlimited. The option takes a
     {!Fbb_ilp.Branch_bound.limits} record rather than a budget only

@@ -11,6 +11,7 @@ type result = {
   proved_optimal : bool;
   timed_out : bool;
   nodes : int;
+  lower_bound_nw : float option;
   constraints_total : int;
   constraints_solved : int;
 }
@@ -26,6 +27,8 @@ let subsets_considered_c = Fbb_obs.Counter.make "ilp.subsets_considered"
 let subsets_pruned_c = Fbb_obs.Counter.make "ilp.subsets_pruned"
 let constraints_dropped_c = Fbb_obs.Counter.make "ilp.constraints_dropped"
 let reduce_faults_c = Fbb_obs.Counter.make "ilp.reduce_faults"
+let cfree_closed_c = Fbb_obs.Counter.make "ilp.cfree_closed"
+let interval_pruned_c = Fbb_obs.Counter.make "ilp.interval_pruned"
 
 (* Timing constraint k is implied by k' when k' requires at least as much
    reduction while every row offers it at most as much raw delay: any x
@@ -159,48 +162,70 @@ let subsets_of_size levels_n size =
   go 0 size
 
 (* Restricted problem: every row picks a level from [subset] (an ascending
-   int list). Variables are row-major over the subset's positions. *)
+   int list). Variables are row-major over the subset's positions. The
+   rows are packed straight into flat arrays, timing rows (in [kept]
+   order) then one assignment equality per row, term for term what
+   [Dual_simplex.pack] makes of the same constraint list, without the
+   boxed term lists: the C-free closure and the interval bounds pose
+   this over up to all P levels. *)
 let formulate_subset p ~kept ~subset =
   let nrows = Problem.num_rows p in
   let s = Array.of_list subset in
   let ns = Array.length s in
   let x i q = (i * ns) + q in
-  let minimize = Array.make (nrows * ns) 0.0 in
+  let num_vars = nrows * ns in
+  let minimize =
+    Array.init num_vars (fun v ->
+        p.Problem.design.row_leak.(v / ns).(s.(v mod ns)))
+  in
+  let kept = Array.of_list kept in
+  let nk = Array.length kept in
+  let m = nk + nrows in
+  let nnz =
+    Array.fold_left
+      (fun acc k ->
+        acc + (Array.length p.Problem.path_rows.(k).Problem.idx * ns))
+      num_vars kept
+  in
+  let idx = Array.make nnz 0 and coef = Array.make nnz 0.0 in
+  let start = Array.make (m + 1) 0 in
+  let lo = Array.make m 1.0 and hi = Array.make m 1.0 in
+  let e = ref 0 in
+  let term v a =
+    idx.(!e) <- v;
+    coef.(!e) <- a;
+    incr e
+  in
+  Array.iteri
+    (fun r k ->
+      let rv = p.Problem.path_rows.(k) in
+      Array.iteri
+        (fun t row ->
+          for q = 0 to ns - 1 do
+            let a = rv.Problem.coef.(t) *. p.Problem.design.reduction.(s.(q)) in
+            if a > 0.0 then term (x row q) a
+          done)
+        rv.Problem.idx;
+      start.(r + 1) <- !e;
+      lo.(r) <- p.Problem.required.(k);
+      hi.(r) <- Float.infinity)
+    kept;
   for i = 0 to nrows - 1 do
     for q = 0 to ns - 1 do
-      minimize.(x i q) <- p.Problem.design.row_leak.(i).(s.(q))
-    done
+      term (x i q) 1.0
+    done;
+    start.(nk + i + 1) <- !e
   done;
-  let timing =
-    List.map
-      (fun k ->
-        let terms =
-          pairs p.Problem.path_rows.(k)
-          |> List.concat_map (fun (r, d) ->
-                 List.filter_map
-                   (fun q ->
-                     let a = d *. p.Problem.design.reduction.(s.(q)) in
-                     if a > 0.0 then Some (x r q, a) else None)
-                   (List.init ns (fun q -> q)))
-        in
-        { S.terms; relation = S.Ge; rhs = p.Problem.required.(k) })
-      kept
+  let rows =
+    {
+      Fbb_lp.Dual_simplex.start;
+      idx = Array.sub idx 0 !e;
+      coef = Array.sub coef 0 !e;
+      lo;
+      hi;
+    }
   in
-  let assignment =
-    List.init nrows (fun i ->
-        {
-          S.terms = List.init ns (fun q -> (x i q, 1.0));
-          relation = S.Eq;
-          rhs = 1.0;
-        })
-  in
-  let num_vars = nrows * ns in
-  ( {
-      BB.num_vars;
-      minimize;
-      rows = Fbb_lp.Dual_simplex.pack ~num_vars (timing @ assignment);
-    },
-    s )
+  ({ BB.num_vars; minimize; rows }, s)
 
 (* Project a full assignment into the subset: each row rounds its level up
    to the next subset member (preserving feasibility since higher levels
@@ -216,25 +241,74 @@ let project_levels subset levels =
       !q)
     levels
 
+(* The warm start projected into subset [s], as a 0/1 incumbent of its
+   [formulate_subset], when the projection still meets timing. *)
+let incumbent_of p s levels =
+  let ns = Array.length s in
+  let proj = project_levels (Array.to_list s) levels in
+  if Solution.meets_timing p (Array.map (fun q -> s.(q)) proj) then begin
+    let v = Array.make (Array.length proj * ns) 0.0 in
+    Array.iteri (fun i q -> v.((i * ns) + q) <- 1.0) proj;
+    Some v
+  end
+  else None
+
+(* The levels of a 0/1 point of [formulate_subset] over positions [s]. *)
+let decode s x =
+  let ns = Array.length s in
+  Array.init
+    (Array.length x / ns)
+    (fun i ->
+      let bestq = ref 0 in
+      for q = 1 to ns - 1 do
+        if x.((i * ns) + q) > x.((i * ns) + !bestq) then bestq := q
+      done;
+      s.(!bestq))
+
+(* The C-free closure's share of the solve's budget, work and deadline;
+   its work is also capped where it runs. Cut short, the closure still
+   yields its root bound, so under a tight budget most of the work is
+   left to the enumeration, which is what finds the answer there. *)
+let closure_share = 0.1
+
+(* Absolute objective tolerance of every prune, the B&B's included: an
+   optimum "proved" under it may sit this far above the true one. *)
+let tol = 1e-9
+
 let optimize_enumerate config ?warm_start p ~kept =
   Fbb_obs.Span.with_ ~name:"ilp.enumerate" @@ fun () ->
   let nrows = Problem.num_rows p in
+  let nlev = Problem.num_levels p in
   let warm_start =
     match warm_start with
     | Some levels when Solution.meets_timing p levels -> Some levels
     | Some _ | None -> None
   in
   let best = ref None in
+  let offer levels obj =
+    match !best with
+    | Some (_, b) when obj >= b -. tol -> ()
+    | Some _ | None -> best := Some (levels, obj)
+  in
   (match warm_start with
   | Some levels when Solution.cluster_count levels <= config.max_clusters ->
     best := Some (Array.copy levels, Solution.leakage_nw p levels)
   | Some _ | None -> ());
-  let jopt = Problem.max_single_level p in
   let nodes = ref 0 in
+  (* One B&B over the rows x [subset] program, warm-started by the
+     projected warm start; its best point comes back as levels. *)
+  let solve_subset ~budget ?cutoff subset =
+    let problem, s = formulate_subset p ~kept ~subset in
+    let incumbent = Option.bind warm_start (incumbent_of p s) in
+    let r = BB.solve ~budget ?incumbent ?cutoff problem in
+    nodes := !nodes + r.BB.nodes;
+    (r, Option.map (fun (x, obj) -> (decode s x, obj)) r.BB.best)
+  in
   (* jopt = None proves infeasibility outright: the uniform-maximum
      assignment dominates every other one constraint-wise. *)
   let all_proved = ref true in
-  (match jopt with
+  let floor = ref None in
+  (match Problem.max_single_level p with
   | None -> ()
   | Some jopt ->
     let floor_cost_of subset =
@@ -248,7 +322,7 @@ let optimize_enumerate config ?warm_start p ~kept =
     (* Cheapest-floor subsets first: a tight incumbent found early prunes
        most of the remaining enumeration at the floor-cost check. *)
     let subsets =
-      subsets_of_size (Problem.num_levels p) config.max_clusters
+      subsets_of_size nlev config.max_clusters
       |> List.filter (fun s -> List.exists (fun j -> j >= jopt) s)
       |> List.map (fun s -> (floor_cost_of s, s))
       |> List.sort (fun (ca, sa) (cb, sb) ->
@@ -257,77 +331,160 @@ let optimize_enumerate config ?warm_start p ~kept =
              | c -> c)
       |> List.map snd
     in
-    (* One budget tick per subset in this sequential loop; the shared
-       budget is also handed to each inner B&B, which ticks it per node
-       at its own (sequential) wave fold. The first refused tick ends
-       the enumeration. *)
-    let rec enumerate = function
-      | [] -> ()
-      | subset :: rest ->
-        Fbb_obs.Counter.incr subsets_considered_c;
-        if not (Fbb_util.Budget.tick config.budget) then all_proved := false
-        else begin
-          (* Cheap bound: even with every row at its cheapest subset level
-             the incumbent must be beatable. *)
-          let floor_cost = floor_cost_of subset in
-          let beatable =
-            match !best with
-            | Some (_, b) -> floor_cost < b -. 1e-9
-            | None -> true
-          in
-          if not beatable then Fbb_obs.Counter.incr subsets_pruned_c;
-          if beatable then begin
-            let problem, s = formulate_subset p ~kept ~subset in
-            let incumbent =
-              match warm_start with
-              | Some levels ->
-                let proj = project_levels subset levels in
-                let v = Array.make problem.BB.num_vars 0.0 in
-                Array.iteri
-                  (fun i q -> v.((i * Array.length s) + q) <- 1.0)
-                  proj;
-                let ok =
-                  let lv = Array.map (fun q -> s.(q)) proj in
-                  Solution.meets_timing p lv
-                in
-                if ok then Some v else None
-              | None -> None
-            in
-            let cutoff = Option.map snd !best in
-            let r = BB.solve ~budget:config.budget ?incumbent ?cutoff problem in
-            nodes := !nodes + r.BB.nodes;
-            (match r.BB.status with
-            | BB.Proved_optimal | BB.Proved_infeasible -> ()
-            | BB.Feasible | BB.Limit_reached -> all_proved := false);
-            match r.BB.best with
-            | Some (x, obj) -> begin
-              let levels =
-                Array.init nrows (fun i ->
-                    let bestq = ref 0 in
-                    for q = 1 to Array.length s - 1 do
-                      if x.((i * Array.length s) + q)
-                         > x.((i * Array.length s) + !bestq)
-                      then bestq := q
-                    done;
-                    s.(!bestq))
-              in
-              match !best with
-              | Some (_, b) when obj >= b -. 1e-9 -> ()
-              | Some _ | None -> best := Some (levels, obj)
-            end
-            | None -> ()
-          end;
-          enumerate rest
-        end
+    (* 1. The C-free closure: [sum_j y(j) <= C] is the only constraint
+       coupling the rows, so dropping it leaves one B&B over every
+       level. Its optimum bounds the C-constrained one from below, and
+       is it when it uses at most C levels. It runs on a child budget
+       whose work is charged back, as the cascade charges its stages.
+       Its work is capped at one node per subset it could spare the
+       enumeration. With no incumbent that is every candidate, each of
+       which would be searched with no cutoff. With one, it is those
+       that pass the floor-cost check, scaled by C/P: each is opened on
+       an LP that much narrower than the closure's, and most close at or
+       near their root. *)
+    let closure_cap =
+      match !best with
+      | None -> List.length subsets
+      | Some (_, b) ->
+        let opened =
+          List.filter (fun s -> floor_cost_of s < b -. tol) subsets
+        in
+        ((List.length opened * config.max_clusters) + nlev - 1) / nlev
     in
-    enumerate subsets);
-  let levels = Option.map fst !best in
+    let closed =
+      Fbb_obs.Span.with_ ~name:"ilp.cfree" @@ fun () ->
+      let cb =
+        Fbb_util.Budget.sub ~work_frac:closure_share
+          ~deadline_frac:closure_share ~max_work:closure_cap config.budget
+      in
+      let r, found = solve_subset ~budget:cb (List.init nlev Fun.id) in
+      Fbb_util.Budget.consume config.budget (Fbb_util.Budget.work_used cb);
+      let fits =
+        match found with
+        | Some (levels, obj)
+          when Solution.cluster_count levels <= config.max_clusters ->
+          offer levels obj;
+          true
+        | Some _ | None -> false
+      in
+      match (r.BB.status, found) with
+      | BB.Proved_optimal, Some (_, obj) ->
+        floor := Some (obj -. tol);
+        fits
+      | BB.Proved_infeasible, _ -> true
+      | (BB.Proved_optimal | BB.Feasible | BB.Limit_reached), _ ->
+        floor := r.BB.root_bound;
+        false
+    in
+    if closed then Fbb_obs.Counter.incr cfree_closed_c
+    else begin
+      let at_floor () =
+        match (!best, !floor) with
+        | Some (_, b), Some f -> b <= f +. tol
+        | _, _ -> false
+      in
+      (* 2. Interval families: every subset S lies in the level
+         interval [min S, max S], so the root LP over rows x that
+         interval bounds all subsets with the same two ends, and an
+         interval's bound is at most that of any interval inside it.
+         Bounds are computed on first need, memoized and read through
+         containment: a wider interval that prunes prunes S, and a
+         narrower one that does not says S's will not either. An LP
+         costs one budget tick and is solved only while another subset
+         of its family is still ahead; otherwise S's own root LP, which
+         its B&B solves anyway, is the tighter and cheaper bound. *)
+      let ends subset =
+        (List.hd subset, List.nth subset (List.length subset - 1))
+      in
+      let family_left = Hashtbl.create 64 in
+      List.iter
+        (fun s ->
+          let k = ends s in
+          Hashtbl.replace family_left k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt family_left k)))
+        subsets;
+      let solved = ref [] in
+      let rec interval_verdict (lo, hi) b =
+        let prunes lb = lb >= b -. tol in
+        let inside (l, h) (l', h') = l' <= l && h <= h' in
+        let known pred =
+          List.exists
+            (fun (i, bound) ->
+              match bound with Some lb -> pred i lb | None -> false)
+            !solved
+        in
+        if known (fun i lb -> inside (lo, hi) i && prunes lb) then begin
+          Fbb_obs.Counter.incr interval_pruned_c;
+          `Pruned
+        end
+        else if
+          List.mem_assoc (lo, hi) !solved
+          || known (fun i lb -> inside i (lo, hi) && not (prunes lb))
+          || Hashtbl.find family_left (lo, hi) = 0
+          || (lo = 0 && hi = nlev - 1)
+        then `Open
+        else if not (Fbb_util.Budget.tick config.budget) then `Refused
+        else begin
+          let problem, _ =
+            formulate_subset p ~kept
+              ~subset:(List.init (hi - lo + 1) (fun k -> lo + k))
+          in
+          let bound = BB.root_bound ~budget:config.budget problem in
+          solved := ((lo, hi), bound) :: !solved;
+          interval_verdict (lo, hi) b
+        end
+      in
+      (* 3. The enumeration of what is left. One budget tick per subset
+         in this sequential loop; the shared budget is also handed to
+         each inner B&B, which ticks it per node at its own (sequential)
+         wave fold. The first refused tick ends the enumeration, and an
+         incumbent at the closure's floor ends it with a proof. *)
+      let rec enumerate = function
+        | [] -> ()
+        | _ when at_floor () -> ()
+        | subset :: rest -> (
+          Fbb_obs.Counter.incr subsets_considered_c;
+          let family = ends subset in
+          Hashtbl.replace family_left family
+            (Hashtbl.find family_left family - 1);
+          if not (Fbb_util.Budget.tick config.budget) then all_proved := false
+          else
+            let verdict =
+              match !best with
+              | None -> `Open
+              | Some (_, b) ->
+                (* Cheap bound first: even with every row at its
+                   cheapest subset level the incumbent must be
+                   beatable. *)
+                if floor_cost_of subset >= b -. tol then begin
+                  Fbb_obs.Counter.incr subsets_pruned_c;
+                  `Pruned
+                end
+                else interval_verdict family b
+            in
+            match verdict with
+            | `Refused -> all_proved := false
+            | `Pruned -> enumerate rest
+            | `Open ->
+              let r, found =
+                solve_subset ~budget:config.budget
+                  ?cutoff:(Option.map snd !best) subset
+              in
+              (match r.BB.status with
+              | BB.Proved_optimal | BB.Proved_infeasible -> ()
+              | BB.Feasible | BB.Limit_reached -> all_proved := false);
+              Option.iter (fun (levels, obj) -> offer levels obj) found;
+              enumerate rest)
+      in
+      enumerate subsets
+    end);
   {
-    levels;
+    levels = Option.map fst !best;
     leakage_nw = Option.map snd !best;
     proved_optimal = !all_proved;
     timed_out = not !all_proved;
     nodes = !nodes;
+    lower_bound_nw = !floor;
     constraints_total = Problem.num_paths p;
     constraints_solved = List.length kept;
   }

@@ -9,8 +9,23 @@
     {!optimize} solves that program by enumerating the (at most [C] of
     [P]) level subsets the [y] variables range over and solving each
     restricted assignment problem exactly — provably the same optimum
-    as the monolithic 0-1 program, much faster. Two more speed-ups keep
-    the optimum:
+    as the monolithic 0-1 program, much faster. [sum_j y(j) <= C] is the
+    only constraint coupling the rows, and two relaxations of it run
+    first:
+    - the {e C-free closure}: one branch-and-bound over rows x all
+      levels. When its optimum uses at most [C] levels it is the answer,
+      proved, and nothing is enumerated (counted on [ilp.cfree_closed]).
+      Otherwise its proved objective, or its root-LP bound when its
+      budget cut it short, is a floor: the enumeration stops with a
+      proof once the incumbent reaches it, and {!result.lower_bound_nw}
+      reports it;
+    - {e interval families}: a subset [S] that survives the floor-cost
+      check ([ilp.subsets_pruned]) is tested against the root-LP bound
+      of rows x the levels [min S .. max S], which bounds every subset
+      with the same two ends. Bounds are computed lazily, memoized, and
+      read through interval containment ([ilp.interval_pruned]).
+
+    Two more speed-ups keep the optimum:
     - timing constraints dominated by another (same or smaller
       requirement with component-wise larger coefficients) are dropped
       ({!reduce_paths}) — sound and lossless, and essential for the
@@ -26,9 +41,14 @@ type config = {
   max_clusters : int;  (** the paper's C *)
   budget : Fbb_util.Budget.t;
       (** the solve's only limit: ticked once per enumerated subset and
-          handed, alone, to every inner branch-and-bound solve (which
-          ticks it per node, sequentially). The enumeration stops at the
-          first refused subset tick; the solve then reports the best
+          once per interval-bound LP, and handed, alone, to every inner
+          branch-and-bound solve (which ticks it per node,
+          sequentially). The C-free closure runs first on a child
+          budget of a tenth of the remaining work and deadline, capped at one
+          node per candidate subset with no incumbent, or at [C/P] of a
+          node per subset that passes the floor-cost check with one; its
+          work is charged back when it ends. The enumeration stops at
+          the first refused tick; the solve then reports the best
           incumbent so far with [timed_out = true]. *)
 }
 
@@ -43,6 +63,11 @@ type result = {
       (** no proof: the budget tripped or a subtree went unproven — the
           paper's "-" case *)
   nodes : int;
+  lower_bound_nw : float option;
+      (** the C-free closure's certified floor: a lower bound on the
+          optimum of this problem, and so of any extension of it, that
+          holds whether or not the solve proved anything. [None] when
+          the problem is infeasible or no closure bound certified. *)
   constraints_total : int;  (** paper's No.Constr: |Pi| *)
   constraints_solved : int;  (** after dominance reduction *)
 }

@@ -25,6 +25,7 @@ type result = {
   status : status;
   best : (float array * float) option;
   nodes : int;
+  root_bound : float option;
   elapsed_s : float;
 }
 
@@ -142,6 +143,7 @@ let solve ?(budget = Fbb_util.Budget.unlimited) ?incumbent ?cutoff p =
     best := Some (Array.copy x, objective_of p x)
   | None -> ());
   let nodes = ref 0 in
+  let root_bound = ref None in
   let hit_limit = ref false in
   let threshold () =
     let b = match !best with Some (_, b) -> b | None -> Float.infinity in
@@ -189,8 +191,8 @@ let solve ?(budget = Fbb_util.Budget.unlimited) ?incumbent ?cutoff p =
       (* Fold the wave sequentially in node order: incumbent updates and
          child ordering are then functions of the outcomes alone. *)
       let children = ref [] in
-      Array.iter
-        (fun outcome ->
+      Array.iteri
+        (fun k outcome ->
           match outcome with
           | Pre_pruned | Bound_pruned -> Fbb_obs.Counter.incr pruned_c
           | Lp_infeasible -> Fbb_obs.Counter.incr lp_infeasible_c
@@ -211,7 +213,10 @@ let solve ?(budget = Fbb_util.Budget.unlimited) ?incumbent ?cutoff p =
               Fbb_obs.Counter.incr incumbents_c;
               best := Some (x, obj)
           end
-          | Branched (a, b) -> children := b :: a :: !children)
+          | Branched (a, b) ->
+            (* A child's [lower] is its parent's certified bound. *)
+            if batch.(k).fixes = [] then root_bound := Some a.lower;
+            children := b :: a :: !children)
         outcomes;
       (* Children go to the front (depth-first flavour keeps the frontier
          small); [children] is reversed, restoring node order. *)
@@ -227,4 +232,14 @@ let solve ?(budget = Fbb_util.Budget.unlimited) ?incumbent ?cutoff p =
     | None, false -> Proved_infeasible
     | None, true -> Limit_reached
   in
-  { status; best = !best; nodes = !nodes; elapsed_s }
+  { status; best = !best; nodes = !nodes; root_bound = !root_bound; elapsed_s }
+
+let root_bound ?(budget = Fbb_util.Budget.unlimited) p =
+  let lp =
+    D.create ~cost:p.minimize ~lo:(Array.make p.num_vars 0.0)
+      ~hi:(Array.make p.num_vars 1.0) p.rows
+  in
+  match Fbb_obs.Span.with_ ~name:"bb.lp_bound" (fun () -> D.solve ~budget lp) with
+  | D.Optimal bound -> Some bound
+  | D.Infeasible -> Some Float.infinity
+  | D.Uncertified | D.Pivot_limit | D.Budget_exhausted -> None

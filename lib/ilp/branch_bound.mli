@@ -50,6 +50,11 @@ type result = {
   status : status;
   best : (float array * float) option;  (** (solution, objective) *)
   nodes : int;
+  root_bound : float option;
+      (** the root LP's certified bound, when the root node branched: a
+          lower bound on the optimum that survives a tripped budget.
+          [None] when the root closed the search itself or its LP did
+          not certify. *)
   elapsed_s : float;
 }
 
@@ -89,5 +94,14 @@ val solve :
     injected ["pool.worker"] fault) is handled the same way: its nodes
     are abandoned, the incumbent and the rest of the frontier are kept,
     the search goes on, and [bb.wave_faults] counts the wave. *)
+
+val root_bound : ?budget:Fbb_util.Budget.t -> problem -> float option
+(** The certified bound of the root LP relaxation alone, with no
+    branching: [Some b] when {!Fbb_lp.Dual_simplex.solve} answers
+    [Optimal b] (so [b] never exceeds the 0-1 optimum),
+    [Some infinity] when it certifies the LP infeasible, and [None]
+    when it reaches no certified answer. [budget] is only re-checked per
+    pivot, as in {!solve}; it is not ticked, which is the caller's to
+    do. The LP runs in a [bb.lp_bound] span. *)
 
 val objective_of : problem -> float array -> float

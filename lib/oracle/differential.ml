@@ -102,7 +102,7 @@ let run_cascade ?(max_clusters = 2) ?budget case =
                   "cascade: claims infeasible, oracle optimum is %.9f nW"
                   opt.Oracle.leakage_nw
               | Oracle.Infeasible -> ())
-          | Cascade.Solved { stage; levels; leakage_nw; optimal; _ } ->
+          | Cascade.Solved { stage; levels; leakage_nw; gap_pct; optimal } ->
             if not (Cascade.verify rp ~max_clusters:c levels) then
               fail "cascade: accepted assignment fails independent sign-off";
             List.iter (fun m -> fail "cascade: %s" m)
@@ -134,7 +134,19 @@ let run_cascade ?(max_clusters = 2) ?budget case =
                   fail
                     "cascade: claims optimality at %.9f nW, oracle optimum \
                      is %.9f nW"
-                    leakage_nw opt.Oracle.leakage_nw));
+                    leakage_nw opt.Oracle.leakage_nw;
+                (* The gap is a bound: the lower bound behind it may not
+                   pass the optimum, and a proved answer has none. *)
+                match gap_pct with
+                | Some g when optimal && g <> 0.0 ->
+                  fail "cascade: proved answer reports gap %.6f%%" g
+                | Some g when leakage_nw /. (1.0 +. (g /. 100.0))
+                              > opt.Oracle.leakage_nw +. tol ->
+                  fail
+                    "cascade: gap %.6f%% implies a lower bound above the \
+                     oracle optimum %.9f nW"
+                    g opt.Oracle.leakage_nw
+                | Some _ | None -> ()));
           finish (Some r)))
 
 (* The oracle for a transformed problem, used by the metamorphic checks:

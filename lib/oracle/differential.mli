@@ -87,7 +87,9 @@ val run_cascade :
     {!Fbb_core.Cascade.verify}, the invariant checker and the full-STA
     {!Invariant.signoff} accept the assignment, and on oracle-sized
     instances the leakage never beats the oracle optimum (with equality
-    required of an optimality claim). For [Infeasible]:
+    required of an optimality claim), and the reported gap is 0 on an
+    optimality claim and otherwise never smaller than the true gap to
+    the oracle optimum. For [Infeasible]:
     [max_single_level] is [None] and the oracle agrees. *)
 
 val cascade_failed : cascade_report -> bool

@@ -33,32 +33,61 @@ let die_height_um t = float_of_int (num_rows t) *. row_height_um
 (* Recursive min-cut bisection down to small leaves yields the linear cell
    order. Nets crossing a region boundary are projected into each
    sub-region (terminal propagation is omitted: row granularity does not
-   need it). *)
+   need it).
+
+   A driver contributes a net to a region only if it lies in the region
+   or feeds one of its gates, so each recursion node visits its own gates
+   and their fanins, sorted into the global driver order (inputs, then
+   gates): O(region) per node instead of O(netlist). [index_of] maps a
+   node to its position in the current region (-1 outside) and
+   [visited] dedupes drivers; both are reset before recursing. *)
 let ordering nl ~seed =
   let gates = Netlist.gates nl in
+  let inputs = Netlist.inputs nl in
+  let n = Netlist.size nl in
+  let rank = Array.make n (-1) in
+  Array.iteri (fun k d -> rank.(d) <- k) inputs;
+  Array.iteri (fun k g -> rank.(g) <- Array.length inputs + k) gates;
+  let index_of = Array.make n (-1) in
+  let visited = Array.make n false in
   let order = ref [] in
   let rec recurse ids seed =
     if Array.length ids <= 12 then
       Array.iter (fun g -> order := g :: !order) ids
     else begin
-      let index_of = Hashtbl.create (Array.length ids) in
-      Array.iteri (fun k g -> Hashtbl.add index_of g k) ids;
-      let nets = ref [] in
+      Array.iteri (fun k g -> index_of.(g) <- k) ids;
+      let drivers = ref [] in
+      let visit d =
+        if rank.(d) >= 0 && not visited.(d) then begin
+          visited.(d) <- true;
+          drivers := d :: !drivers
+        end
+      in
       Array.iter
         (fun g ->
+          visit g;
+          Array.iter visit (Netlist.fanins nl g))
+        ids;
+      let drivers = Array.of_list !drivers in
+      Array.sort (fun a b -> Int.compare rank.(a) rank.(b)) drivers;
+      let nets = ref [] in
+      Array.iter
+        (fun d ->
+          visited.(d) <- false;
           let members =
-            Array.to_list (Netlist.fanouts nl g)
-            |> List.filter_map (Hashtbl.find_opt index_of)
+            Array.fold_right
+              (fun g acc ->
+                if index_of.(g) >= 0 then index_of.(g) :: acc else acc)
+              (Netlist.fanouts nl d) []
           in
           let members =
-            match Hashtbl.find_opt index_of g with
-            | Some k -> k :: members
-            | None -> members
+            if index_of.(d) >= 0 then index_of.(d) :: members else members
           in
           match members with
           | [] | [ _ ] -> ()
           | ms -> nets := Array.of_list ms :: !nets)
-        (Array.append (Netlist.inputs nl) gates);
+        drivers;
+      Array.iter (fun g -> index_of.(g) <- -1) ids;
       let h =
         {
           Partition.nv = Array.length ids;

@@ -83,8 +83,8 @@ let elapsed_s t = now () -. t.started
 
 let remaining_s t = Option.map (fun d -> Float.max 0.0 (d -. now ())) t.deadline
 
-let sub ?(work_frac = 1.0) ?(deadline_frac = 1.0) t =
-  if t.infinite then unlimited
+let sub ?(work_frac = 1.0) ?(deadline_frac = 1.0) ?max_work t =
+  if t.infinite && max_work = None then unlimited
   else begin
     let work =
       Option.map
@@ -92,6 +92,11 @@ let sub ?(work_frac = 1.0) ?(deadline_frac = 1.0) t =
           if rem = 0 then 0
           else max 1 (int_of_float (ceil (float_of_int rem *. work_frac))))
         (remaining_work t)
+    in
+    let work =
+      match (work, max_work) with
+      | Some w, Some cap -> Some (min w cap)
+      | w, None | None, w -> w
     in
     let deadline_s =
       Option.map (fun rem -> rem *. Float.min 1.0 deadline_frac) (remaining_s t)

@@ -73,13 +73,16 @@ val remaining_s : t -> float option
 (** Seconds until the deadline ([None] when no deadline; never
     negative). *)
 
-val sub : ?work_frac:float -> ?deadline_frac:float -> t -> t
+val sub : ?work_frac:float -> ?deadline_frac:float -> ?max_work:int -> t -> t
 (** A child budget carved out of the parent's {e remaining} allowance:
     its work limit is [frac] of the parent's remaining work (rounded
     up, at least 1 when the parent has any left) and its deadline
     [frac] of the parent's remaining seconds. Fractions default to
-    1.0 (inherit everything left). The child is independent — charge
-    its {!work_used} back with {!consume} when the stage ends. An
+    1.0 (inherit everything left). [max_work] further caps the child's
+    work, also under a parent with no work limit ({!unlimited}
+    included, whose child is otherwise {!unlimited}). The child is
+    independent — charge its {!work_used} back with {!consume} when
+    the stage ends. An
     exhausted parent yields an already-tripped child with the parent's
     {!reason}. *)
 

@@ -260,6 +260,35 @@ let test_ilp_infeasible_beta () =
   Alcotest.(check bool) "no solution" true (r.Ilp.levels = None);
   Alcotest.(check bool) "proved" true r.Ilp.proved_optimal
 
+(* The serve-warm keys: generated modules of 200 gates on 5 rows, beta
+   5 %, C = 4. The C-free optimum uses at most four levels on each, so
+   the closure answers them proved and no subset is enumerated. *)
+let test_ilp_closure_closes_serve_keys () =
+  let count c = Fbb_obs.Counter.read (Fbb_obs.Counter.make c) in
+  List.iter
+    (fun seed ->
+      let nl = Fbb_netlist.Generators.random_module ~seed ~gates:200 () in
+      let p =
+        Problem.build ~beta:0.05 (Fbb_place.Placement.place ~target_rows:5 nl)
+      in
+      let considered = count "ilp.subsets_considered"
+      and closed = count "ilp.cfree_closed" in
+      let r =
+        Ilp.optimize
+          ~config:{ Ilp.max_clusters = 4; budget = Fbb_util.Budget.unlimited }
+          p
+      in
+      let key = Printf.sprintf "seed %d" seed in
+      Alcotest.(check bool) (key ^ " proved") true r.Ilp.proved_optimal;
+      Alcotest.(check int) (key ^ " closed") 1 (count "ilp.cfree_closed" - closed);
+      Alcotest.(check int) (key ^ " no subset enumerated") 0
+        (count "ilp.subsets_considered" - considered);
+      Alcotest.(check bool) (key ^ " floor is the optimum") true
+        (match (r.Ilp.lower_bound_nw, r.Ilp.leakage_nw) with
+        | Some lb, Some leak -> lb <= leak && leak -. lb <= 1e-6
+        | _, _ -> false))
+    [ 14; 17; 20; 26; 33; 38 ]
+
 let test_formulation_shape () =
   let p = problem () in
   let bbp = Ilp.formulate ~max_clusters:2 p in
@@ -687,6 +716,7 @@ let suite =
     ("constraint reduction lossless", `Slow, test_constraint_reduction_lossless);
     ("ilp infeasible beta", `Quick, test_ilp_infeasible_beta);
     ("ilp formulation shape", `Quick, test_formulation_shape);
+    ("ilp closure closes the serve keys", `Quick, test_ilp_closure_closes_serve_keys);
     ("rbb recovery valid", `Quick, test_recovery_valid);
     ("rbb recovery monotone in margin", `Quick, test_recovery_monotone_in_margin);
     ("rbb recovery zero margin safe", `Quick, test_recovery_zero_margin_safe);

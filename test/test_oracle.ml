@@ -242,6 +242,102 @@ let test_cascade_referee_signs_off () =
       (r.Differential.c_optimum_nw <> None)
   | None -> Alcotest.fail "cascade crashed"
 
+(* ----- the exact solver's prunes, refereed ------------------------------ *)
+
+(* The C-free closure, the interval-family bounds and the floor stop only
+   prune, so the exact solver must land on the oracle optimum, proved,
+   cold and warm-started alike (from the heuristic and from the optimum
+   itself), and its closure floor must never pass the optimum. Returns
+   the disagreements. *)
+let ilp_refereed c =
+  let module Ilp = Fbb_core.Ilp_opt in
+  let p = Case.build c in
+  let max_clusters = c.Case.max_clusters in
+  if not (Oracle.tractable ~max_clusters p) then []
+  else
+    let verdict = Oracle.solve ~max_clusters p in
+    let warm_starts =
+      ("cold", None)
+      :: ( "heuristic",
+           Option.map
+             (fun h -> h.Heuristic.levels)
+             (Heuristic.optimize ~max_clusters p) )
+      ::
+      (match verdict with
+      | Oracle.Optimal opt -> [ ("optimum", Some opt.Oracle.levels) ]
+      | Oracle.Infeasible -> [])
+    in
+    List.concat_map
+      (fun (name, warm_start) ->
+        let r =
+          Ilp.optimize
+            ~config:{ Ilp.max_clusters; budget = Fbb_util.Budget.unlimited }
+            ?warm_start p
+        in
+        let fail fmt =
+          Printf.ksprintf (fun m -> [ Case.name c ^ " " ^ name ^ ": " ^ m ]) fmt
+        in
+        match (verdict, r.Ilp.levels) with
+        | _, _ when not r.Ilp.proved_optimal -> fail "not proved"
+        | Oracle.Infeasible, None -> []
+        | Oracle.Infeasible, Some _ -> fail "answer to an infeasible case"
+        | Oracle.Optimal _, None -> fail "no answer"
+        | Oracle.Optimal opt, Some levels ->
+          let tol = 1e-9 *. Float.max 1.0 opt.Oracle.leakage_nw in
+          let leak = Solution.leakage_nw p levels in
+          (if Float.abs (leak -. opt.Oracle.leakage_nw) > tol then
+             fail "leakage %.12g, oracle %.12g" leak opt.Oracle.leakage_nw
+           else [])
+          @
+          match r.Ilp.lower_bound_nw with
+          | Some lb when lb > opt.Oracle.leakage_nw +. tol ->
+            fail "floor %.12g above the optimum %.12g" lb opt.Oracle.leakage_nw
+          | Some _ | None -> [])
+      warm_starts
+
+let test_ilp_prunes_on_corpus () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  Alcotest.(check (list string)) "exact solver = oracle on the corpus" []
+    (List.concat_map (fun (_, c) -> ilp_refereed c) (Case.load_dir dir))
+
+(* The cascade's gap rests on the closure floor of every ILP solve it
+   ran, budget-truncated ones included: the referee checks it against the
+   oracle optimum of the carried problem at tight and loose budgets. *)
+let test_cascade_gap_refereed () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let failures =
+    List.concat_map
+      (fun (_, c) ->
+        List.concat_map
+          (fun budget ->
+            (Differential.run_cascade ~max_clusters:c.Case.max_clusters
+               ~budget c)
+              .Differential.c_failures)
+          [
+            Fbb_util.Budget.create ~work:20 ();
+            Fbb_util.Budget.create ~work:200 ();
+            Fbb_util.Budget.unlimited;
+          ])
+      (Case.load_dir dir)
+  in
+  Alcotest.(check (list string)) "referee clean" [] failures
+
+let test_ilp_prunes_random =
+  QCheck.Test.make ~count:80 ~name:"exact solver = oracle, cold and warm"
+    QCheck.(
+      make
+        Gen.(
+          tup4 (int_range 0 100_000) (int_range 40 160) (int_range 2 5)
+            (tup3 (int_range 4 10) (int_range 2 3) (int_range 1 2))))
+    (fun (seed, gates, rows, (beta_pct, max_clusters, level_stride)) ->
+      let c =
+        case ~beta:(float_of_int beta_pct /. 100.0) ~max_clusters ~level_stride
+          ~seed ~gates ~rows ()
+      in
+      match ilp_refereed c with
+      | [] -> true
+      | failures -> QCheck.Test.fail_report (String.concat "; " failures))
+
 let suite =
   [
     ("oracle matches proved-optimal bb", `Quick, test_oracle_matches_bb);
@@ -256,4 +352,9 @@ let suite =
     ("shrinker minimizes greedily", `Quick, test_shrink_minimizes);
     ("optimum invariant under row reversal", `Quick, test_permutation_invariance);
     QCheck_alcotest.to_alcotest test_single_cluster_equals_single_bb;
+    ( "exact solver prunes refereed on corpus",
+      `Quick,
+      test_ilp_prunes_on_corpus );
+    QCheck_alcotest.to_alcotest test_ilp_prunes_random;
+    ("cascade gap refereed on corpus", `Quick, test_cascade_gap_refereed);
   ]

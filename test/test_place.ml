@@ -179,6 +179,47 @@ let test_rows_balanced () =
     true
     (!max_u -. !min_u < 0.25)
 
+(* Golden digests of [row_of]/[site_of] for the nine Table-1 designs
+   (placed as Flow.prepare places them) and a seeded 10k-gate module. Any
+   change to the bisection order moves a digest, and with it Table 1, the
+   figures and every Monte-Carlo statistic downstream. *)
+let placement_digest pl =
+  let nl = Pl.netlist pl in
+  let b = Buffer.create 65536 in
+  for i = 0 to N.size nl - 1 do
+    Printf.bprintf b "%d,%d;" (Pl.row_of pl i) (Pl.site_of pl i)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_digests =
+  [
+    ("c1355", "d239f235dfb3c9e8302e5a154d748bc3");
+    ("c3540", "c8f3eb069d2f2befb80c7fa830fe296c");
+    ("c5315", "789bf3eff9269234273f15edf8de6942");
+    ("c6288", "d5cec8fa78b3c4ba651153278b3a280a");
+    ("c7552", "d6aa8cb5bb7fa2f181dbd3188ce7587d");
+    ("adder_128bits", "9e7954fe2e837ef606be0ff403db389a");
+    ("Industrial1", "6349cf1680256a9ac7fe58e7c5544c06");
+    ("Industrial2", "580034fba90d1f49b5e22cf49ede5154");
+    ("Industrial3", "b7793856de7df417069d6dc65e2a41d2");
+    ("random_module 2009/10000", "7c3ceb899a76fa5d36e21e0aaf51ac8d");
+  ]
+
+let test_golden_digests () =
+  let module B = Fbb_netlist.Benchmarks in
+  let placed name =
+    if name = "random_module 2009/10000" then
+      Pl.place
+        (Fbb_netlist.Generators.random_module ~seed:2009 ~gates:10_000 ())
+    else
+      let spec = B.find name in
+      Pl.place ~target_rows:spec.B.rows (spec.B.generate ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "row_of/site_of digests" golden_digests
+    (List.map (fun (name, _) -> (name, placement_digest (placed name)))
+       golden_digests)
+
 let suite =
   [
     ("fm finds a good cut", `Quick, test_fm_finds_good_cut);
@@ -197,4 +238,5 @@ let suite =
     ("default floorplan squarish", `Quick, test_default_rows_squarish);
     ("geometry accessors", `Quick, test_geometry);
     ("rows balanced", `Quick, test_rows_balanced);
+    ("golden placement digests", `Slow, test_golden_digests);
   ]

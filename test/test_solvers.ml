@@ -144,6 +144,29 @@ let test_bb_vs_brute_force () =
     | Some _, None -> Alcotest.fail "bb missed a feasible solution"
   done
 
+(* The root bound never passes the 0-1 optimum, is infinite on a
+   certified-infeasible LP, and a solve that branched reports it. *)
+let test_bb_root_bound () =
+  let rng = Fbb_util.Rng.create ~seed:321 in
+  for _ = 1 to 60 do
+    let ((p, _) as problem) = random_problem rng in
+    let r = BB.solve p in
+    match (brute problem, BB.root_bound p) with
+    | Some opt, Some lb ->
+      Alcotest.(check bool) "root bound <= optimum" true (lb <= opt +. 1e-9);
+      Option.iter
+        (fun rb ->
+          Alcotest.(check bool) "solve's root bound <= optimum" true
+            (rb <= opt +. 1e-9))
+        r.BB.root_bound
+    | Some _, None | None, _ -> ()
+  done;
+  let infeasible =
+    bb 1 [| 1.0 |] [ c [ (0, 1.0) ] S.Ge 2.0 ]
+  in
+  Alcotest.(check (option (float 0.0))) "certified infeasible" (Some Float.infinity)
+    (BB.root_bound infeasible)
+
 let test_bb_status_optimal () =
   let p =
     bb 2 [| 1.0; 2.0 |]
@@ -413,6 +436,7 @@ let suite =
     ("lp duplicate terms", `Quick, test_lp_duplicate_terms);
     ("lp pivot limit", `Quick, test_lp_pivot_limit);
     ("bb vs brute force", `Slow, test_bb_vs_brute_force);
+    ("bb root bound", `Quick, test_bb_root_bound);
     ("bb proved optimal", `Quick, test_bb_status_optimal);
     ("bb infeasible", `Quick, test_bb_infeasible);
     ("bb warm start", `Quick, test_bb_warm_start);

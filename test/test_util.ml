@@ -243,6 +243,18 @@ let test_budget_sub_and_consume () =
   Alcotest.(check bool) "exhausted parent yields exhausted child" false
     (Budget.tick dead)
 
+let test_budget_sub_max_work () =
+  let parent = Budget.create ~work:100 () in
+  Alcotest.(check (option int)) "cap below the share" (Some 7)
+    (Budget.remaining_work (Budget.sub ~work_frac:0.5 ~max_work:7 parent));
+  Alcotest.(check (option int)) "share below the cap" (Some 50)
+    (Budget.remaining_work (Budget.sub ~work_frac:0.5 ~max_work:70 parent));
+  let capped = Budget.sub ~max_work:3 Budget.unlimited in
+  Alcotest.(check bool) "capped child of unlimited is a real budget" false
+    (Budget.is_unlimited capped);
+  Alcotest.(check (option int)) "capped child of unlimited" (Some 3)
+    (Budget.remaining_work capped)
+
 (* ----- Atomic_io -------------------------------------------------------- *)
 
 module Aio = Fbb_util.Atomic_io
@@ -474,6 +486,7 @@ let suite =
     ("budget zero work", `Quick, test_budget_zero_work);
     ("budget deadline", `Quick, test_budget_deadline);
     ("budget sub and consume", `Quick, test_budget_sub_and_consume);
+    ("budget sub work cap", `Quick, test_budget_sub_max_work);
     ("atomic write kill points", `Quick, test_atomic_write_kill_points);
     ("atomic write transient retry", `Quick, test_atomic_write_transient_retry);
   ]

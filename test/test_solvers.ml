@@ -436,7 +436,6 @@ let suite =
     ("lp duplicate terms", `Quick, test_lp_duplicate_terms);
     ("lp pivot limit", `Quick, test_lp_pivot_limit);
     ("bb vs brute force", `Slow, test_bb_vs_brute_force);
-    ("bb root bound", `Quick, test_bb_root_bound);
     ("bb proved optimal", `Quick, test_bb_status_optimal);
     ("bb infeasible", `Quick, test_bb_infeasible);
     ("bb warm start", `Quick, test_bb_warm_start);
@@ -447,4 +446,5 @@ let suite =
     ("dual deadline stops before first pivot", `Quick, test_dual_deadline_stop);
     ("dual certified infeasible", `Quick, test_dual_certified_infeasible);
     QCheck_alcotest.to_alcotest ~long:false dual_matches_reference;
+    ("bb root bound", `Quick, test_bb_root_bound);
   ]

@@ -50,7 +50,7 @@ fuzz-faults: build
 	  --corpus-dir test/corpus --repro-dir fuzz_out
 
 # Deadline-bounded anytime solve on the largest bundled benchmark: the
-# cascade degrades ilp -> heuristic -> single-bb floor and prints its
+# cascade runs heuristic -> ilp -> single-bb floor and prints its
 # degradation report.
 cascade-demo: build
 	$(DUNE) exec bin/fbbopt.exe -- optimize -d Industrial3 --cascade \

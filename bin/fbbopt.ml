@@ -412,7 +412,7 @@ let optimize_cascade design file beta_pct clusters rows ~deadline_ms ~work svg
 
 let cascade_arg =
   let doc =
-    "Run the exact anytime cascade (ilp, heuristic, single BB), each stage \
+    "Run the exact anytime cascade (heuristic, ilp, single BB), each stage \
      inside the full-STA sign-off loop, instead of the heuristic \
      refinement flow. Implied by $(b,--deadline-ms) and $(b,--work-budget)."
   in

@@ -37,6 +37,7 @@ type result = {
   attempts : attempt list;
   exhausted : bool;
   problem : Problem.t;
+  ilp : Ilp_opt.result option;
 }
 
 let stages_c = Fbb_obs.Counter.make "cascade.stages"
@@ -99,18 +100,6 @@ type candidate = {
   c_truncated : bool;  (* the stage's budget cut it short *)
 }
 
-(* [floor] keeps the best closure bound of any ILP solve, proved or
-   not: each is a lower bound on its own problem, and a signed-off answer
-   meets every constraint of every problem the cascade carried. *)
-let run_ilp ~max_clusters ~floor ~budget p =
-  let r = Ilp_opt.optimize ~config:{ Ilp_opt.max_clusters; budget } p in
-  Option.iter (fun b -> floor := Float.max !floor b) r.Ilp_opt.lower_bound_nw;
-  {
-    c_levels = r.Ilp_opt.levels;
-    c_optimal = r.Ilp_opt.proved_optimal;
-    c_truncated = r.Ilp_opt.timed_out;
-  }
-
 let run_heuristic ~max_clusters ~budget p =
   match Heuristic.optimize ~max_clusters ~budget p with
   | None -> { c_levels = None; c_optimal = false; c_truncated = false }
@@ -120,6 +109,22 @@ let run_heuristic ~max_clusters ~budget p =
       c_optimal = false;
       c_truncated = not h.Heuristic.complete;
     }
+
+(* [last] keeps the stage's last solve, and [floor] the best closure
+   bound of any of its solves, proved or not: each is a lower bound on
+   its own problem, and a signed-off answer meets every constraint of
+   every problem the cascade carried. *)
+let run_ilp ~max_clusters ~floor ~last ?warm_start ~budget p =
+  let r =
+    Ilp_opt.optimize ~config:{ Ilp_opt.max_clusters; budget } ?warm_start p
+  in
+  Option.iter (fun b -> floor := Float.max !floor b) r.Ilp_opt.lower_bound_nw;
+  last := Some r;
+  {
+    c_levels = r.Ilp_opt.levels;
+    c_optimal = r.Ilp_opt.proved_optimal;
+    c_truncated = r.Ilp_opt.timed_out;
+  }
 
 let run_single_bb p =
   match Problem.max_single_level p with
@@ -132,8 +137,8 @@ let run_single_bb p =
    stage takes no slice: it is pool-free and linear-time, and must run
    even on a dead budget. *)
 let stage_frac = function
-  | Ilp -> 0.5
-  | Heuristic -> 1.0
+  | Heuristic -> 0.5
+  | Ilp -> 1.0
   | Single_bb -> 0.0
 
 let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
@@ -144,74 +149,90 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
   let max_iterations = Problem.num_levels p + 1 in
   let carried = ref p in
   let attempts = ref [] in
-  let winner = ref None in
-  let record a = attempts := a :: !attempts in
+  (* Run one stage; its signed-off candidate, if any, comes back as
+     [(stage, levels, leakage, optimal)]. *)
   let attempt stage runner =
-    if !winner = None then begin
-      Fbb_obs.Counter.incr stages_c;
-      let t0 = Fbb_obs.Clock.now_s () in
-      let finish status leakage_nw work_spent =
-        (match status with
-        | Accepted -> Fbb_obs.Counter.incr accepted_c
-        | Rejected -> Fbb_obs.Counter.incr rejected_c
-        | Crashed _ -> Fbb_obs.Counter.incr crashed_c
-        | Exhausted -> Fbb_obs.Counter.incr exhausted_c
-        | No_candidate -> ());
-        record
-          { stage; status; leakage_nw; work_spent;
-            elapsed_s = Fbb_obs.Clock.now_s () -. t0 }
+    Fbb_obs.Counter.incr stages_c;
+    let t0 = Fbb_obs.Clock.now_s () in
+    let finish status leakage_nw work_spent =
+      (match status with
+      | Accepted -> Fbb_obs.Counter.incr accepted_c
+      | Rejected -> Fbb_obs.Counter.incr rejected_c
+      | Crashed _ -> Fbb_obs.Counter.incr crashed_c
+      | Exhausted -> Fbb_obs.Counter.incr exhausted_c
+      | No_candidate -> ());
+      attempts :=
+        { stage; status; leakage_nw; work_spent;
+          elapsed_s = Fbb_obs.Clock.now_s () -. t0 }
+        :: !attempts
+    in
+    let exhausted_now =
+      (* The floor stage ignores exhaustion by design. A stage with no
+         work left is skipped like one whose budget tripped. *)
+      stage <> Single_bb
+      && (B.exhausted budget
+         || B.remaining_work budget = Some 0
+         || Fbb_fault.Fault.fire "budget.exhaust")
+    in
+    if exhausted_now then (finish Exhausted None 0; None)
+    else begin
+      let frac = stage_frac stage in
+      let sb =
+        if stage = Single_bb then B.create ()
+        else B.sub ~work_frac:frac ~deadline_frac:frac budget
       in
-      let exhausted_now =
-        (* The floor stage ignores exhaustion by design. A stage with no
-           work left is skipped like one whose budget tripped. *)
-        stage <> Single_bb
-        && (B.exhausted budget
-           || B.remaining_work budget = Some 0
-           || Fbb_fault.Fault.fire "budget.exhaust")
-      in
-      if exhausted_now then finish Exhausted None 0
-      else begin
-        let frac = stage_frac stage in
-        let sb =
-          if stage = Single_bb then B.create ()
-          else B.sub ~work_frac:frac ~deadline_frac:frac budget
-        in
-        match
-          Fbb_obs.Span.with_ ~name:("cascade." ^ stage_name stage) (fun () ->
-              Refine.solve ~max_iterations ~solver:(runner ~budget:sb)
-                ~levels_of:(fun c -> c.c_levels) !carried)
-        with
-        | cand, refined ->
-          (* Charge the stage's ticks back to the shared budget; the
-             child was only an allowance, not an account. *)
-          let spent = B.work_used sb in
-          B.consume budget spent;
-          (match refined with
-          | None ->
-            if cand.c_truncated then finish Exhausted None spent
-            else finish No_candidate None spent
-          | Some o ->
-            carried := o.Refine.problem;
-            let levels = o.Refine.levels in
-            let leak = Solution.leakage_nw p levels in
-            if o.Refine.signoff_clean && verify !carried ~max_clusters levels
-            then begin
-              winner := Some (stage, levels, leak, cand.c_optimal);
-              finish Accepted (Some leak) spent
-            end
-            else finish Rejected (Some leak) spent)
-        | exception e ->
-          let spent = B.work_used sb in
-          B.consume budget spent;
-          finish (Crashed (Printexc.to_string e)) None spent
-      end
+      match
+        Fbb_obs.Span.with_ ~name:("cascade." ^ stage_name stage) (fun () ->
+            Refine.solve ~max_iterations ~solver:(runner ~budget:sb)
+              ~levels_of:(fun c -> c.c_levels) !carried)
+      with
+      | cand, refined -> (
+        (* Charge the stage's ticks back to the shared budget; the
+           child was only an allowance, not an account. *)
+        let spent = B.work_used sb in
+        B.consume budget spent;
+        match refined with
+        | None ->
+          finish (if cand.c_truncated then Exhausted else No_candidate) None
+            spent;
+          None
+        | Some o ->
+          carried := o.Refine.problem;
+          let levels = o.Refine.levels in
+          let leak = Solution.leakage_nw p levels in
+          if o.Refine.signoff_clean && verify !carried ~max_clusters levels
+          then begin
+            finish Accepted (Some leak) spent;
+            Some (stage, levels, leak, cand.c_optimal)
+          end
+          else (finish Rejected (Some leak) spent; None))
+      | exception e ->
+        let spent = B.work_used sb in
+        B.consume budget spent;
+        finish (Crashed (Printexc.to_string e)) None spent;
+        None
     end
   in
-  attempt Ilp (run_ilp ~max_clusters ~floor:lb);
-  attempt Heuristic (run_heuristic ~max_clusters);
-  attempt Single_bb (fun ~budget:_ q -> run_single_bb q);
+  let ilp = ref None in
+  let heuristic = attempt Heuristic (run_heuristic ~max_clusters) in
+  let exact =
+    attempt Ilp
+      (run_ilp ~max_clusters ~floor:lb ~last:ilp
+         ?warm_start:(Option.map (fun (_, levels, _, _) -> levels) heuristic))
+  in
+  (* The exact stage only improves the heuristic's answer: that answer
+     is kept when the ilp's is strictly worse (a tie goes to the ilp)
+     and it still meets the paths the ilp's sign-offs folded in. *)
+  let winner =
+    match (heuristic, exact) with
+    | Some (_, levels, h, _), Some (_, _, e, _)
+      when e > h && verify !carried ~max_clusters levels ->
+      heuristic
+    | _, (Some _ as w) | (Some _ as w), None -> w
+    | None, None -> attempt Single_bb (fun ~budget:_ q -> run_single_bb q)
+  in
   let outcome =
-    match !winner with
+    match winner with
     | Some (stage, levels, leakage_nw, optimal) ->
       Solved
         {
@@ -234,4 +255,5 @@ let solve ?(max_clusters = 2) ?(budget = B.unlimited) p =
     attempts = List.rev !attempts;
     exhausted = B.exhausted budget;
     problem = !carried;
+    ilp = !ilp;
   }

@@ -1,7 +1,7 @@
 (** End-to-end experiment flow: generate -> place -> pre-process ->
-    optimize (heuristic and/or ILP), mirroring the paper's section 5
-    methodology. The bench harness and examples are thin wrappers over
-    this module. *)
+    optimize (the {!Cascade}: heuristic, then ILP), mirroring the
+    paper's section 5 methodology. The bench harness and examples are
+    thin wrappers over this module. *)
 
 type prepared = {
   spec : Fbb_netlist.Benchmarks.spec;
@@ -23,36 +23,41 @@ type evaluation = {
   constraints : int;  (** |Pi|, the paper's No.Constr *)
   jopt : int option;
   single_bb_nw : float option;  (** block-level FBB baseline leakage *)
-  heuristic : (int * Heuristic.result) list;  (** keyed by cluster budget C *)
+  heuristic : (int * Cascade.attempt) list;
+      (** the cascade's heuristic attempt, keyed by cluster budget C *)
   ilp : (int * Ilp_opt.result) list;
+      (** the cascade's last ILP solve, keyed by C; reported as a
+          timeout unless the cascade returned it proved optimal *)
 }
 
 val evaluate :
   ?cs:int list ->
-  ?run_ilp:bool ->
   ?ilp_limits:Fbb_ilp.Branch_bound.limits ->
   prepared ->
   beta:float ->
   evaluation
-(** Run the optimizers for each cluster budget in [cs] (default [[2; 3]]).
-    The ILP (run when [run_ilp], default true) is warm-started from the
-    heuristic solution of the same C. Both run inside {!Refine.solve}; an
-    ILP entry is the result of the last refinement iteration's solve (its
-    [nodes] count that solve only), reported as a timeout unless it
-    proved optimality and signed off clean.
+(** Run one {!Cascade.solve} for each cluster budget in [cs] (default
+    [[2; 3]]) on the freshly built problem: the heuristic, then the ILP
+    warm-started from its signed-off answer, both inside signoff
+    refinement. The heuristic column is the heuristic attempt; the ILP
+    column is the ILP stage's last solve (its [nodes] count that solve
+    only), with the cascade's answer when that answer is the ILP's,
+    proved optimal and signed off.
 
-    [ilp_limits] caps each C's ILP with one {!Fbb_util.Budget.t} of
-    [max_nodes] work units (subsets, interval-bound LPs and
-    branch-and-bound nodes, the C-free closure's included) and a
-    [max_seconds] deadline, spanning all of that C's refinement
-    iterations; without it the ILP is unlimited. The option takes a
+    [ilp_limits] caps each C's cascade with one {!Fbb_util.Budget.t} of
+    [max_nodes] work units and a [max_seconds] deadline: the heuristic
+    takes half of it (its descent rounds) and the ILP what is left
+    (subsets, interval-bound LPs and branch-and-bound nodes, the C-free
+    closure's included), across all refinement iterations. Without it
+    the cascade is unlimited. The option takes a
     {!Fbb_ilp.Branch_bound.limits} record rather than a budget only
     because the benchmark harness passes one; no solver reads the
     record. *)
 
 val ilp_savings_pct : evaluation -> c:int -> float option
 (** ILP leakage saving vs the Single BB baseline; [None] when the ILP
-    timed out without proving optimality (the paper's "-" entries) or was
-    not run. *)
+    did not prove optimality (the paper's "-" entries) or never ran. *)
 
 val heuristic_savings_pct : evaluation -> c:int -> float option
+(** Heuristic leakage saving vs the Single BB baseline; [None] when its
+    answer did not sign off. *)

@@ -336,20 +336,15 @@ let optimize_enumerate config ?warm_start p ~kept =
        level. Its optimum bounds the C-constrained one from below, and
        is it when it uses at most C levels. It runs on a child budget
        whose work is charged back, as the cascade charges its stages.
-       Its work is capped at one node per subset it could spare the
-       enumeration. With no incumbent that is every candidate, each of
-       which would be searched with no cutoff. With one, it is those
-       that pass the floor-cost check, scaled by C/P: each is opened on
-       an LP that much narrower than the closure's, and most close at or
-       near their root. *)
+       Its work is capped at one node per candidate subset it could
+       spare the enumeration, scaled by C / min(rows, P): a subset
+       offers each row C of the closure's levels, an answer uses at
+       most min(rows, P) distinct levels, and most subsets close at or
+       near their root. The cap ignores the incumbent, so a warm start
+       does not starve the closure. *)
     let closure_cap =
-      match !best with
-      | None -> List.length subsets
-      | Some (_, b) ->
-        let opened =
-          List.filter (fun s -> floor_cost_of s < b -. tol) subsets
-        in
-        ((List.length opened * config.max_clusters) + nlev - 1) / nlev
+      let width = min nrows nlev in
+      ((List.length subsets * config.max_clusters) + width - 1) / width
     in
     let closed =
       Fbb_obs.Span.with_ ~name:"ilp.cfree" @@ fun () ->

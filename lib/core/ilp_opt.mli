@@ -44,12 +44,13 @@ type config = {
           once per interval-bound LP, and handed, alone, to every inner
           branch-and-bound solve (which ticks it per node,
           sequentially). The C-free closure runs first on a child
-          budget of a tenth of the remaining work and deadline, capped at one
-          node per candidate subset with no incumbent, or at [C/P] of a
-          node per subset that passes the floor-cost check with one; its
-          work is charged back when it ends. The enumeration stops at
-          the first refused tick; the solve then reports the best
-          incumbent so far with [timed_out = true]. *)
+          budget of a tenth of the remaining work and deadline, capped
+          at [C / min(rows, P)] of a node per candidate subset (one
+          holding a level at or above {!Problem.max_single_level}),
+          warm start or not; its work is charged back when it ends.
+          The enumeration stops at the first refused tick; the solve
+          then reports the best incumbent so far with
+          [timed_out = true]. *)
 }
 
 val default_config : config
